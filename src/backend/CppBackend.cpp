@@ -163,14 +163,13 @@ public:
       if (TableParams[I].size() == NumParams &&
           std::equal(TableParams[I].begin(), TableParams[I].end(), Raw))
         return static_cast<int32_t>(I);
-    // Bind the raw parameters into a copy of the portable program, then
-    // flatten its side tables into the block layout the emitted kernel
-    // reads (vm::flattenTaskTables per task, tasks concatenated).
-    vm::KernelProgram Bound =
-        vm::bindParams(Program, std::span<const double>(Raw, NumParams));
+    // Bind the raw parameters into each task's side tables, then flatten
+    // them into the block layout the emitted kernel reads
+    // (vm::flattenTaskTables per task, tasks concatenated).
     std::vector<double> Block;
-    for (const vm::TaskProgram &Task : Bound.Tasks) {
-      std::vector<double> Flat = vm::flattenTaskTables(Task);
+    for (const vm::TaskProgram &Task : Program.Tasks) {
+      std::vector<double> Flat = vm::flattenTaskTables(vm::bindTaskParams(
+          Task, std::span<const double>(Raw, NumParams)));
       Block.insert(Block.end(), Flat.begin(), Flat.end());
     }
     TableBlocks.push_back(std::move(Block));

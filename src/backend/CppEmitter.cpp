@@ -127,7 +127,7 @@ std::string reg(uint32_t Index) {
 /// const pool, (Mean, InvStdDev, Coefficient) per Gaussian, each table's
 /// values, one value per select, tasks concatenated in order — is
 /// exactly what vm::flattenTaskTables produces, so the runtime can bind
-/// a weight table with vm::bindParams and flatten the result into a
+/// a weight table with vm::bindTaskParams and flatten the result into a
 /// block the emitted kernel consumes directly.
 struct ParamLayout {
   std::vector<size_t> CpBase;

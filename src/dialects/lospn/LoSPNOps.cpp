@@ -58,7 +58,9 @@ double spnc::lospn::evalHistogram(std::span<const double> FlatBuckets,
 
 double spnc::lospn::evalCategorical(std::span<const double> Probabilities,
                                     double Evidence) {
-  auto Index = static_cast<long long>(Evidence);
+  // Floor, not truncation: category k owns the bucket [k, k + 1), which
+  // is what the compiled dense tables and select ranges test.
+  auto Index = static_cast<long long>(std::floor(Evidence));
   if (Index < 0 || static_cast<size_t>(Index) >= Probabilities.size())
     return 0.0;
   return Probabilities[static_cast<size_t>(Index)];

@@ -288,7 +288,7 @@ void runOnDevice(const KernelProgram &Program,
 
     Timer HostTimer;
     for (size_t S = 0; S < NumSamples; ++S)
-      executeSample(Task, Bindings.data(), S, Registers.data());
+      executeSample(Task, Task, Bindings.data(), S, Registers.data());
     uint64_t HostNs = HostTimer.elapsedNs();
 
     double Occupancy =
@@ -424,7 +424,7 @@ void runQueryOnDevice(const KernelProgram &Program,
   std::vector<T> Registers(Task.NumRegisters);
   std::vector<int32_t> Stack;
   for (size_t S = 0; S < NumSamples; ++S) {
-    executeSample(Task, Bindings.data(), S, Registers.data());
+    executeSample(Task, Task, Bindings.data(), S, Registers.data());
     const double *Row = Evidence + S * NumFeatures;
     double *OutRow = Rows + S * NumFeatures;
     for (uint32_t F = 0; F < NumFeatures; ++F)

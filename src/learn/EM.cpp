@@ -206,7 +206,7 @@ private:
               break;
             }
         } else if (const auto *Cat = dyn_cast<CategoricalLeaf>(Leaf)) {
-          auto Index = static_cast<long long>(X);
+          auto Index = static_cast<long long>(std::floor(X));
           if (Index >= 0 &&
               static_cast<size_t>(Index) <
                   Cat->getProbabilities().size())

@@ -156,9 +156,10 @@ public:
 
   /// Cross-model batch execution: like execute(), but row I is evaluated
   /// under the weight table \p TableIndices[I] (indices from
-  /// addParamTable). Rows should arrive grouped by table index — the
-  /// engine splits the batch into maximal equal-index runs. Returns
-  /// false (writing nothing) when tables are unsupported or an index is
+  /// addParamTable), in any table order. Engines without a per-lane
+  /// table gather (the cpp backend) split the batch into maximal
+  /// equal-index runs, so grouped rows run faster there. Returns false
+  /// (writing nothing) when tables are unsupported or an index is
   /// unknown. Thread-safe like execute().
   virtual bool executeIndexed(const double *Input,
                               const uint32_t *TableIndices, double *Output,

@@ -129,8 +129,6 @@ public:
     /// Disk entries loaded from a pre-checksum (v1/v2) `.spnk`.
     uint64_t LegacyDiskEntries = 0;
   };
-  /// Legacy name of the counters struct (pre-LRU API).
-  using Statistics = Stats;
 
   /// An in-memory-only cache with the default LRU capacity.
   KernelCache() = default;
@@ -156,11 +154,6 @@ public:
   /// changes it. Thread-safe; the model must not be mutated
   /// concurrently.
   static uint64_t contentHash(const spn::Model &Model);
-
-  /// Legacy spelling of contentHash() (the pre-merging name).
-  static uint64_t hashModel(const spn::Model &Model) {
-    return contentHash(Model);
-  }
 
   /// Structural hash of \p Model: node kinds, wiring, leaf families and
   /// scopes — tunable parameters (sum weights, bucket masses, category
@@ -252,9 +245,6 @@ public:
   /// A consistent snapshot of the observability counters. Thread-safe.
   Stats getStats() const;
 
-  /// Legacy spelling of getStats().
-  Statistics getStatistics() const { return getStats(); }
-
   const std::string &getDirectory() const { return TheConfig.Directory; }
 
   /// The active configuration (immutable after construction).
@@ -265,7 +255,7 @@ public:
   std::string entryPath(uint64_t Key) const;
 
   /// Path of the per-model tuning-record sidecar
-  /// (`<dir>/<hashModel hex>.tune.json`, empty when the cache is
+  /// (`<dir>/<contentHash hex>.tune.json`, empty when the cache is
   /// in-memory only). Keyed on the model hash alone — unlike `.spnk`
   /// entries, a record *selects* the compile options rather than being
   /// keyed by them — and the `.tune.json` extension keeps records

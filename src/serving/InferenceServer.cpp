@@ -293,7 +293,7 @@ InferenceServer::addModel(const std::string &Name,
     return Kernel.getError();
 
   size_t ShardIndex =
-      placeOnShard(runtime::KernelCache::hashModel(Model), Shards.size());
+      placeOnShard(runtime::KernelCache::contentHash(Model), Shards.size());
   Shard &TheShard = *Shards[ShardIndex];
 
   auto Entry = std::make_unique<ModelEntry>();
@@ -732,10 +732,12 @@ void InferenceServer::runBatch(Shard &TheShard, Batch TheBatch) {
   size_t NumFeatures = Model.NumFeatures;
 
   // Merged batches mix requests for different models of one merge
-  // group. Grouping same-model rows together (stable within a model,
-  // so FIFO order inside each model holds) lets executeIndexed run
-  // maximal per-table spans; the output scatter below walks the same
-  // sorted order, so each rider still gets its own rows back.
+  // group. executeIndexed takes rows in any table order; grouping
+  // same-model rows together (stable within a model, so FIFO order
+  // inside each model holds) only makes more lane blocks table-uniform,
+  // which run the broadcast path instead of the per-lane gather. The
+  // output scatter below walks the same sorted order, so each rider
+  // still gets its own rows back.
   if (Model.Merged)
     std::stable_sort(TheBatch.Requests.begin(), TheBatch.Requests.end(),
                      [](const Request &A, const Request &B) {

@@ -18,7 +18,7 @@
 ///  * the server runs `NumShards` independent shards, each with its own
 ///    batcher thread, request queues and worker pool. Models are placed
 ///    on shards by consistent hashing over the model hash
-///    (`KernelCache::hashModel`), so placement is deterministic and
+///    (`KernelCache::contentHash`), so placement is deterministic and
 ///    stable under shard-count changes; all shards compile through one
 ///    shared `runtime::KernelCache`;
 ///  * requests carry a `Priority` class (Interactive or Bulk). Each

@@ -179,14 +179,22 @@ struct BufferAccess {
   uint32_t Index = 0;
 };
 
-/// Executable form of one LoSPN task.
-struct TaskProgram {
-  std::vector<Instruction> Code;
-  uint32_t NumRegisters = 0;
+/// The side tables of one task that hold constants and leaf parameters.
+/// These are the only task fields a weight table rebinds
+/// (vm::bindTaskParams), so an engine serving several weight tables
+/// keeps one slab of them per table next to a single shared program.
+struct SideTables {
   std::vector<double> ConstPool;
   std::vector<GaussianParams> Gaussians;
   std::vector<LookupTable> Tables;
   std::vector<SelectRange> Selects;
+};
+
+/// Executable form of one LoSPN task: the instruction stream and buffer
+/// accesses plus the side tables they index.
+struct TaskProgram : SideTables {
+  std::vector<Instruction> Code;
+  uint32_t NumRegisters = 0;
   std::vector<BufferAccess> Loads;
   std::vector<BufferAccess> Stores;
   /// Register operand lists of the n-ary instructions.

@@ -93,6 +93,7 @@ static SPNC_ALWAYS_INLINE T scalarLogSumExp(T A, T B) {
 
 template <typename T>
 void spnc::vm::executeSample(const TaskProgram &Task,
+                             const SideTables &Tables,
                              const BufferBinding<T> *Buffers,
                              size_t SampleIdx, T *Registers) {
   const T NegInf = -std::numeric_limits<T>::infinity();
@@ -132,7 +133,7 @@ void spnc::vm::executeSample(const TaskProgram &Task,
 
   SPNC_CASE(Const) {
     const Instruction &I = SPNC_INST;
-    Registers[I.Dst] = static_cast<T>(Task.ConstPool[I.A]);
+    Registers[I.Dst] = static_cast<T>(Tables.ConstPool[I.A]);
     SPNC_NEXT();
   }
   SPNC_CASE(Load) {
@@ -172,7 +173,7 @@ void spnc::vm::executeSample(const TaskProgram &Task,
   }
   SPNC_CASE(Gaussian) {
     const Instruction &I = SPNC_INST;
-    const GaussianParams &P = Task.Gaussians[I.B];
+    const GaussianParams &P = Tables.Gaussians[I.B];
     T X = Registers[I.A];
     if (P.SupportMarginal && std::isnan(X)) {
       Registers[I.Dst] = static_cast<T>(P.MarginalValue);
@@ -186,7 +187,7 @@ void spnc::vm::executeSample(const TaskProgram &Task,
   }
   SPNC_CASE(GaussianLog) {
     const Instruction &I = SPNC_INST;
-    const GaussianParams &P = Task.Gaussians[I.B];
+    const GaussianParams &P = Tables.Gaussians[I.B];
     T X = Registers[I.A];
     if (P.SupportMarginal && std::isnan(X)) {
       Registers[I.Dst] = static_cast<T>(P.MarginalValue);
@@ -199,7 +200,7 @@ void spnc::vm::executeSample(const TaskProgram &Task,
   }
   SPNC_CASE(TableLookup) {
     const Instruction &I = SPNC_INST;
-    const LookupTable &Table = Task.Tables[I.B];
+    const LookupTable &Table = Tables.Tables[I.B];
     T X = Registers[I.A];
     if (Table.SupportMarginal && std::isnan(X)) {
       Registers[I.Dst] = static_cast<T>(Table.MarginalValue);
@@ -215,7 +216,7 @@ void spnc::vm::executeSample(const TaskProgram &Task,
   }
   SPNC_CASE(SelectInRange) {
     const Instruction &I = SPNC_INST;
-    const SelectRange &Range = Task.Selects[I.B];
+    const SelectRange &Range = Tables.Selects[I.B];
     T X = Registers[I.A];
     // NaN compares false, so marginalized evidence keeps the previously
     // blended value.
@@ -226,7 +227,7 @@ void spnc::vm::executeSample(const TaskProgram &Task,
   SPNC_CASE(NanBlend) {
     const Instruction &I = SPNC_INST;
     if (std::isnan(Registers[I.A]))
-      Registers[I.Dst] = static_cast<T>(Task.ConstPool[I.B]);
+      Registers[I.Dst] = static_cast<T>(Tables.ConstPool[I.B]);
     SPNC_NEXT();
   }
   SPNC_CASE(AddN) {
@@ -288,9 +289,11 @@ void spnc::vm::executeSample(const TaskProgram &Task,
 
 
 template void spnc::vm::executeSample<float>(const TaskProgram &,
+                                             const SideTables &,
                                              const BufferBinding<float> *,
                                              size_t, float *);
 template void spnc::vm::executeSample<double>(const TaskProgram &,
+                                              const SideTables &,
                                               const BufferBinding<double> *,
                                               size_t, double *);
 
@@ -324,17 +327,44 @@ struct BlockTranspose {
   }
 };
 
-template <typename T, unsigned W>
-void runBlock(const TaskProgram &Task, const BufferBinding<T> *Buffers,
+/// Runs \p Task over the W lanes of the block at chunk-local sample
+/// \p Begin. The parameter-reading ops (Const, Gaussian, GaussianLog,
+/// TableLookup, SelectInRange, NanBlend) take their side tables from
+/// \p Lanes: without \p Gather every lane reads Lanes[0], with it lane L
+/// reads Lanes[L]. Both paths run the same arithmetic per lane, so a row
+/// computes the same bits in either, and at any W. Structural fields
+/// (ranges, sizes, marginal support) are equal in every slab and are
+/// read from Lanes[0].
+template <typename T, unsigned W, bool Gather>
+void runBlock(const TaskProgram &Task, const SideTables *const *Lanes,
+              const BufferBinding<T> *Buffers,
               const BlockTranspose<T> *Transposes, size_t Begin,
               bool UseVecLib, T *Regs) {
   const T NegInf = -std::numeric_limits<T>::infinity();
+  const SideTables &Shared = *Lanes[0];
+  // Per-lane table bases, loaded once per block on the gather path.
+  const double *LaneConsts[W];
+  const GaussianParams *LaneGaussians[W];
+  const LookupTable *LaneTables[W];
+  const SelectRange *LaneSelects[W];
+  if constexpr (Gather)
+    for (unsigned L = 0; L < W; ++L) {
+      LaneConsts[L] = Lanes[L]->ConstPool.data();
+      LaneGaussians[L] = Lanes[L]->Gaussians.data();
+      LaneTables[L] = Lanes[L]->Tables.data();
+      LaneSelects[L] = Lanes[L]->Selects.data();
+    }
   T Tmp0[W], Tmp1[W];
   for (const Instruction &Inst : Task.Code) {
     T *D = &Regs[static_cast<size_t>(Inst.Dst) * W];
     switch (Inst.Op) {
     case OpCode::Const: {
-      T Value = static_cast<T>(Task.ConstPool[Inst.A]);
+      if constexpr (Gather) {
+        for (unsigned L = 0; L < W; ++L)
+          D[L] = static_cast<T>(LaneConsts[L][Inst.A]);
+        break;
+      }
+      T Value = static_cast<T>(Shared.ConstPool[Inst.A]);
       for (unsigned L = 0; L < W; ++L)
         D[L] = Value;
       break;
@@ -426,35 +456,59 @@ void runBlock(const TaskProgram &Task, const BufferBinding<T> *Buffers,
       break;
     }
     case OpCode::Gaussian: {
-      const GaussianParams &P = Task.Gaussians[Inst.B];
+      const GaussianParams &P = Shared.Gaussians[Inst.B];
       const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
       const T Mean = static_cast<T>(P.Mean);
       const T Inv = static_cast<T>(P.InvStdDev);
       const T Coeff = static_cast<T>(P.Coefficient);
-      for (unsigned L = 0; L < W; ++L) {
-        T Norm = (A[L] - Mean) * Inv;
-        Tmp0[L] = T(-0.5) * Norm * Norm;
+      if constexpr (Gather) {
+        for (unsigned L = 0; L < W; ++L) {
+          const GaussianParams &G = LaneGaussians[L][Inst.B];
+          T Norm = (A[L] - static_cast<T>(G.Mean)) *
+                   static_cast<T>(G.InvStdDev);
+          Tmp0[L] = T(-0.5) * Norm * Norm;
+        }
+      } else {
+        for (unsigned L = 0; L < W; ++L) {
+          T Norm = (A[L] - Mean) * Inv;
+          Tmp0[L] = T(-0.5) * Norm * Norm;
+        }
       }
       if (UseVecLib)
         vecExpNeg(Tmp0, Tmp1, W);
       else
         scalarExp(Tmp0, Tmp1, W);
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = Coeff * Tmp1[L];
+      if constexpr (Gather) {
+        for (unsigned L = 0; L < W; ++L)
+          D[L] = static_cast<T>(LaneGaussians[L][Inst.B].Coefficient) *
+                 Tmp1[L];
+      } else {
+        for (unsigned L = 0; L < W; ++L)
+          D[L] = Coeff * Tmp1[L];
+      }
       if (P.SupportMarginal)
         for (unsigned L = 0; L < W; ++L)
           D[L] = std::isnan(A[L]) ? static_cast<T>(P.MarginalValue) : D[L];
       break;
     }
     case OpCode::GaussianLog: {
-      const GaussianParams &P = Task.Gaussians[Inst.B];
+      const GaussianParams &P = Shared.Gaussians[Inst.B];
       const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
       const T Mean = static_cast<T>(P.Mean);
       const T Inv = static_cast<T>(P.InvStdDev);
       const T Coeff = static_cast<T>(P.Coefficient);
-      for (unsigned L = 0; L < W; ++L) {
-        T Norm = (A[L] - Mean) * Inv;
-        D[L] = Coeff - T(0.5) * Norm * Norm;
+      if constexpr (Gather) {
+        for (unsigned L = 0; L < W; ++L) {
+          const GaussianParams &G = LaneGaussians[L][Inst.B];
+          T Norm = (A[L] - static_cast<T>(G.Mean)) *
+                   static_cast<T>(G.InvStdDev);
+          D[L] = static_cast<T>(G.Coefficient) - T(0.5) * Norm * Norm;
+        }
+      } else {
+        for (unsigned L = 0; L < W; ++L) {
+          T Norm = (A[L] - Mean) * Inv;
+          D[L] = Coeff - T(0.5) * Norm * Norm;
+        }
       }
       if (P.SupportMarginal)
         for (unsigned L = 0; L < W; ++L)
@@ -462,7 +516,7 @@ void runBlock(const TaskProgram &Task, const BufferBinding<T> *Buffers,
       break;
     }
     case OpCode::TableLookup: {
-      const LookupTable &Table = Task.Tables[Inst.B];
+      const LookupTable &Table = Shared.Tables[Inst.B];
       const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
       const auto Size = static_cast<int64_t>(Table.Values.size());
       for (unsigned L = 0; L < W; ++L) {
@@ -470,19 +524,29 @@ void runBlock(const TaskProgram &Task, const BufferBinding<T> *Buffers,
           D[L] = static_cast<T>(Table.MarginalValue);
           continue;
         }
+        const double *Values = Gather
+                                   ? LaneTables[L][Inst.B].Values.data()
+                                   : Table.Values.data();
         auto Idx = static_cast<int64_t>(
             std::floor(static_cast<double>(A[L]) - Table.Lo));
         D[L] = (Idx >= 0 && Idx < Size)
-                   ? static_cast<T>(Table.Values[static_cast<size_t>(Idx)])
+                   ? static_cast<T>(Values[static_cast<size_t>(Idx)])
                    : static_cast<T>(Table.DefaultValue);
       }
       break;
     }
     case OpCode::SelectInRange: {
-      const SelectRange &Range = Task.Selects[Inst.B];
+      const SelectRange &Range = Shared.Selects[Inst.B];
       const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
       const T Lo = static_cast<T>(Range.Lo);
       const T Hi = static_cast<T>(Range.Hi);
+      if constexpr (Gather) {
+        for (unsigned L = 0; L < W; ++L)
+          D[L] = (A[L] >= Lo && A[L] < Hi)
+                     ? static_cast<T>(LaneSelects[L][Inst.B].Value)
+                     : D[L];
+        break;
+      }
       const T V = static_cast<T>(Range.Value);
       for (unsigned L = 0; L < W; ++L)
         D[L] = (A[L] >= Lo && A[L] < Hi) ? V : D[L];
@@ -490,7 +554,14 @@ void runBlock(const TaskProgram &Task, const BufferBinding<T> *Buffers,
     }
     case OpCode::NanBlend: {
       const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T V = static_cast<T>(Task.ConstPool[Inst.B]);
+      if constexpr (Gather) {
+        for (unsigned L = 0; L < W; ++L)
+          D[L] = std::isnan(A[L])
+                     ? static_cast<T>(LaneConsts[L][Inst.B])
+                     : D[L];
+        break;
+      }
+      const T V = static_cast<T>(Shared.ConstPool[Inst.B]);
       for (unsigned L = 0; L < W; ++L)
         D[L] = std::isnan(A[L]) ? V : D[L];
       break;
@@ -585,23 +656,7 @@ void CpuExecutor::execute(const double *Input, double *Output,
                           size_t NumSamples,
                           runtime::ExecutionStats *Stats) const {
   Timer WallTimer;
-  if (!Pool) {
-    executeChunk(Program, Input, Output, NumSamples, 0, NumSamples);
-  } else {
-    size_t Chunk =
-        Config.ChunkSize ? Config.ChunkSize : Program.BatchSize;
-    if (Chunk == 0)
-      Chunk = NumSamples;
-    size_t NumChunks = (NumSamples + Chunk - 1) / Chunk;
-    for (size_t C = 0; C < NumChunks; ++C) {
-      size_t Begin = C * Chunk;
-      size_t End = std::min(NumSamples, Begin + Chunk);
-      Pool->submit([this, Input, Output, NumSamples, Begin, End] {
-        executeChunk(Program, Input, Output, NumSamples, Begin, End);
-      });
-    }
-    Pool->wait();
-  }
+  executeChunks(Input, Output, NumSamples, nullptr, nullptr);
   if (Stats) {
     *Stats = runtime::ExecutionStats();
     Stats->WallNs = WallTimer.elapsedNs();
@@ -625,11 +680,74 @@ std::string CpuExecutor::describe() const {
 
 namespace {
 
-template <typename T>
+/// The weight tables of an indexed chunk: chunk-local row R runs task
+/// Task under (*Tables[Index[R]])[Task], that task's side tables bound
+/// to the row's table.
+struct RowTables {
+  const uint32_t *Index = nullptr;
+  const std::vector<SideTables> *const *Tables = nullptr;
+
+  const SideTables *get(size_t Row, size_t Task) const {
+    return &(*Tables[Index[Row]])[Task];
+  }
+};
+
+/// Runs task \p TaskIdx over chunk-local samples [0, ChunkLen): full
+/// blocks of W lanes, then the remainder one row at a time through the
+/// same lane engine at width 1 (the scalar epilogue of paper §IV-B), so
+/// a row's result does not depend on where in the batch it runs.
+/// Without \p Indexed every row reads the task's own side tables. With
+/// it, a block whose rows share one table runs the broadcast path on
+/// that table's slab and any other block gathers per lane.
+template <typename T, unsigned W, bool Indexed>
+void runTask(const KernelProgram &Program, size_t TaskIdx,
+             BufferBinding<T> *Bindings,
+             std::vector<BlockTranspose<T>> &Transposes,
+             const RowTables &Rows, size_t ChunkLen, bool UseVecLib,
+             T *Regs) {
+  const TaskProgram &Task = Program.Tasks[TaskIdx];
+  const BlockTranspose<T> *Staged =
+      Transposes.empty() ? nullptr : Transposes.data();
+  size_t NumBlocks = ChunkLen / W;
+  for (size_t Block = 0; Block < NumBlocks; ++Block) {
+    size_t BlockBegin = Block * W;
+    // Stage row-major inputs blockwise for the loads+shuffles path.
+    for (size_t I = 0; I < Transposes.size(); ++I)
+      if (!Program.Buffers[I].Transposed && Bindings[I].ExternalIn)
+        Transposes[I].prepare(Bindings[I], BlockBegin, W);
+    if constexpr (!Indexed) {
+      const SideTables *Own = &Task;
+      runBlock<T, W, false>(Task, &Own, Bindings, Staged, BlockBegin,
+                            UseVecLib, Regs);
+    } else {
+      const SideTables *Lanes[W];
+      bool Uniform = true;
+      for (unsigned L = 0; L < W; ++L) {
+        Lanes[L] = Rows.get(BlockBegin + L, TaskIdx);
+        Uniform &= Lanes[L] == Lanes[0];
+      }
+      if (Uniform)
+        runBlock<T, W, false>(Task, Lanes, Bindings, Staged, BlockBegin,
+                              UseVecLib, Regs);
+      else
+        runBlock<T, W, true>(Task, Lanes, Bindings, Staged, BlockBegin,
+                             UseVecLib, Regs);
+    }
+  }
+  for (size_t I = NumBlocks * W; I < ChunkLen; ++I) {
+    const SideTables *Own = &Task;
+    if constexpr (Indexed)
+      Own = Rows.get(I, TaskIdx);
+    runBlock<T, 1, false>(Task, &Own, Bindings, nullptr, I, UseVecLib,
+                          Regs);
+  }
+}
+
+template <typename T, bool Indexed>
 void runChunkTyped(const KernelProgram &Program,
                    const ExecutionConfig &Config, const double *Input,
                    double *Output, size_t TotalSamples, size_t Begin,
-                   size_t End) {
+                   size_t End, RowTables Rows) {
   size_t ChunkLen = End - Begin;
 
   // Bind buffers; intermediates are chunk-private.
@@ -674,6 +792,8 @@ void runChunkTyped(const KernelProgram &Program,
         storeElement(Dst, Col, I, loadElement(Src, Col, I));
   };
 
+  if constexpr (Indexed)
+    Rows.Index += Begin;
   unsigned W = Config.VectorWidth;
   if (W <= 1) {
     std::vector<T> Registers(MaxRegs);
@@ -683,8 +803,12 @@ void runChunkTyped(const KernelProgram &Program,
         continue;
       }
       const TaskProgram &Task = Program.Tasks[Step.Task];
-      for (size_t I = 0; I < ChunkLen; ++I)
-        executeSample(Task, Bindings.data(), I, Registers.data());
+      for (size_t I = 0; I < ChunkLen; ++I) {
+        const SideTables *Tables = &Task;
+        if constexpr (Indexed)
+          Tables = Rows.get(I, Step.Task);
+        executeSample(Task, *Tables, Bindings.data(), I, Registers.data());
+      }
     }
     return;
   }
@@ -693,63 +817,71 @@ void runChunkTyped(const KernelProgram &Program,
   std::vector<BlockTranspose<T>> Transposes(
       Config.UseShuffle ? Program.Buffers.size() : 0);
 
-  auto RunVector = [&](auto WidthTag, const TaskProgram &Task,
-                       size_t BlockBegin) {
+  auto RunSteps = [&](auto WidthTag) {
     constexpr unsigned BW = decltype(WidthTag)::value;
-    runBlock<T, BW>(Task, Bindings.data(),
-                    Transposes.empty() ? nullptr : Transposes.data(),
-                    BlockBegin, Config.UseVecLib, Registers.data());
+    for (const KernelStep &Step : Program.Steps) {
+      if (Step.Task < 0)
+        RunCopy(Step);
+      else
+        runTask<T, BW, Indexed>(Program, Step.Task, Bindings.data(),
+                                Transposes, Rows, ChunkLen,
+                                Config.UseVecLib, Registers.data());
+    }
   };
-
-  size_t NumBlocks = ChunkLen / W;
-  for (const KernelStep &Step : Program.Steps) {
-    if (Step.Task < 0) {
-      RunCopy(Step);
-      continue;
-    }
-    const TaskProgram &Task = Program.Tasks[Step.Task];
-    for (size_t Block = 0; Block < NumBlocks; ++Block) {
-      size_t BlockBegin = Block * W;
-      // Stage row-major inputs blockwise for the loads+shuffles path.
-      if (Config.UseShuffle)
-        for (size_t I = 0; I < Program.Buffers.size(); ++I)
-          if (!Program.Buffers[I].Transposed && Bindings[I].ExternalIn)
-            Transposes[I].prepare(Bindings[I], BlockBegin, W);
-      switch (W) {
-      case 4:
-        RunVector(std::integral_constant<unsigned, 4>{}, Task,
-                  BlockBegin);
-        break;
-      case 8:
-        RunVector(std::integral_constant<unsigned, 8>{}, Task,
-                  BlockBegin);
-        break;
-      case 16:
-        RunVector(std::integral_constant<unsigned, 16>{}, Task,
-                  BlockBegin);
-        break;
-      default:
-        spnc_unreachable("unsupported vector width");
-      }
-    }
-    // Scalar epilogue for the remainder (paper §IV-B).
-    for (size_t I = NumBlocks * W; I < ChunkLen; ++I)
-      executeSample(Task, Bindings.data(), I, Registers.data());
+  switch (W) {
+  case 4:
+    RunSteps(std::integral_constant<unsigned, 4>{});
+    break;
+  case 8:
+    RunSteps(std::integral_constant<unsigned, 8>{});
+    break;
+  case 16:
+    RunSteps(std::integral_constant<unsigned, 16>{});
+    break;
+  default:
+    spnc_unreachable("unsupported vector width");
   }
+}
+
+template <bool Indexed>
+void runChunk(const KernelProgram &Program, const ExecutionConfig &Config,
+              const double *Input, double *Output, size_t TotalSamples,
+              size_t Begin, size_t End, RowTables Rows) {
+  if (Program.UseF32)
+    runChunkTyped<float, Indexed>(Program, Config, Input, Output,
+                                  TotalSamples, Begin, End, Rows);
+  else
+    runChunkTyped<double, Indexed>(Program, Config, Input, Output,
+                                   TotalSamples, Begin, End, Rows);
 }
 
 } // namespace
 
-void CpuExecutor::executeChunk(const KernelProgram &TheProgram,
-                               const double *Input, double *Output,
-                               size_t TotalSamples, size_t Begin,
-                               size_t End) const {
-  if (TheProgram.UseF32)
-    runChunkTyped<float>(TheProgram, Config, Input, Output, TotalSamples,
-                         Begin, End);
-  else
-    runChunkTyped<double>(TheProgram, Config, Input, Output, TotalSamples,
-                          Begin, End);
+void CpuExecutor::executeChunks(
+    const double *Input, double *Output, size_t NumSamples,
+    const uint32_t *TableIndices,
+    const std::vector<SideTables> *const *Tables) const {
+  auto Run = [this, Input, Output, NumSamples, TableIndices,
+              Tables](size_t Begin, size_t End) {
+    if (TableIndices)
+      runChunk<true>(Program, Config, Input, Output, NumSamples, Begin, End,
+                     {TableIndices, Tables});
+    else
+      runChunk<false>(Program, Config, Input, Output, NumSamples, Begin,
+                      End, {});
+  };
+  if (!Pool) {
+    Run(0, NumSamples);
+    return;
+  }
+  size_t Chunk = Config.ChunkSize ? Config.ChunkSize : Program.BatchSize;
+  if (Chunk == 0)
+    Chunk = NumSamples;
+  for (size_t Begin = 0; Begin < NumSamples; Begin += Chunk) {
+    size_t End = std::min(NumSamples, Begin + Chunk);
+    Pool->submit([Run, Begin, End] { Run(Begin, End); });
+  }
+  Pool->wait();
 }
 
 //===----------------------------------------------------------------------===//
@@ -760,17 +892,20 @@ int32_t CpuExecutor::addParamTable(const double *Params,
                                    size_t NumParams) {
   if (!Program.Parameterized || NumParams != Program.NumParams)
     return -1;
+  std::span<const double> Raw(Params, NumParams);
+  auto Table = std::make_unique<BoundTable>();
+  Table->Raw.assign(Raw.begin(), Raw.end());
+  Table->Tasks.reserve(Program.Tasks.size());
+  for (const TaskProgram &Task : Program.Tasks)
+    Table->Tasks.push_back(bindTaskParams(Task, Raw));
   std::unique_lock<std::shared_mutex> Lock(TablesMutex);
   // Idempotent by exact content: a model re-registered after a cache hit
   // gets its old index back.
-  for (size_t I = 0; I < TableParams.size(); ++I)
-    if (TableParams[I].size() == NumParams &&
-        std::equal(TableParams[I].begin(), TableParams[I].end(), Params))
+  for (size_t I = 0; I < Bound.size(); ++I)
+    if (std::ranges::equal(Bound[I]->Raw, Raw))
       return static_cast<int32_t>(I);
-  BoundPrograms.push_back(std::make_unique<KernelProgram>(
-      bindParams(Program, std::span<const double>(Params, NumParams))));
-  TableParams.emplace_back(Params, Params + NumParams);
-  return static_cast<int32_t>(TableParams.size() - 1);
+  Bound.push_back(std::move(Table));
+  return static_cast<int32_t>(Bound.size() - 1);
 }
 
 bool CpuExecutor::executeIndexed(const double *Input,
@@ -780,47 +915,17 @@ bool CpuExecutor::executeIndexed(const double *Input,
   if (!Program.Parameterized)
     return false;
   Timer WallTimer;
-  std::vector<const KernelProgram *> Bound;
+  std::vector<const std::vector<SideTables> *> Tables;
   {
     std::shared_lock<std::shared_mutex> Lock(TablesMutex);
-    Bound.reserve(BoundPrograms.size());
-    for (const std::unique_ptr<KernelProgram> &P : BoundPrograms)
-      Bound.push_back(P.get());
+    Tables.reserve(Bound.size());
+    for (const std::unique_ptr<BoundTable> &Table : Bound)
+      Tables.push_back(&Table->Tasks);
   }
   for (size_t I = 0; I < NumSamples; ++I)
-    if (TableIndices[I] >= Bound.size())
+    if (TableIndices[I] >= Tables.size())
       return false;
-
-  size_t Chunk = Config.ChunkSize ? Config.ChunkSize : Program.BatchSize;
-  if (Chunk == 0)
-    Chunk = NumSamples;
-  auto Dispatch = [&](const KernelProgram *Table, size_t Begin,
-                      size_t End) {
-    if (!Pool) {
-      executeChunk(*Table, Input, Output, NumSamples, Begin, End);
-      return;
-    }
-    for (size_t B = Begin; B < End; B += Chunk) {
-      size_t E = std::min(End, B + Chunk);
-      Pool->submit([this, Table, Input, Output, NumSamples, B, E] {
-        executeChunk(*Table, Input, Output, NumSamples, B, E);
-      });
-    }
-  };
-  // Maximal runs of equal table index execute as ordinary sub-batches:
-  // the buffer bindings address [Begin, End) of the full batch, so every
-  // run reads and writes its own rows in place.
-  size_t RunBegin = 0;
-  while (RunBegin < NumSamples) {
-    size_t RunEnd = RunBegin + 1;
-    while (RunEnd < NumSamples &&
-           TableIndices[RunEnd] == TableIndices[RunBegin])
-      ++RunEnd;
-    Dispatch(Bound[TableIndices[RunBegin]], RunBegin, RunEnd);
-    RunBegin = RunEnd;
-  }
-  if (Pool)
-    Pool->wait();
+  executeChunks(Input, Output, NumSamples, TableIndices, Tables.data());
   if (Stats) {
     *Stats = runtime::ExecutionStats();
     Stats->WallNs = WallTimer.elapsedNs();
@@ -864,7 +969,7 @@ void runQueryBatch(const KernelProgram &Program, QueryKind Kind,
   std::vector<T> Registers(Task.NumRegisters);
   std::vector<int32_t> Stack;
   for (size_t I = 0; I < NumSamples; ++I) {
-    executeSample(Task, Bindings.data(), I, Registers.data());
+    executeSample(Task, Task, Bindings.data(), I, Registers.data());
     const double *Row = Evidence + I * NumFeatures;
     double *OutRow = Rows + I * NumFeatures;
     // Pre-fill with the evidence so features outside the model's scope

@@ -13,7 +13,9 @@
 ///  * a data-parallel vector engine processing W samples per step with a
 ///    scalar epilogue for the remainder (paper §IV-B), configurable in
 ///    width (W=8 f32 lanes ~ AVX2, W=16 ~ AVX-512), vector-library use
-///    and gather-vs-load+shuffle input loading.
+///    and gather-vs-load+shuffle input loading. The epilogue runs the
+///    same lane engine at width 1, so a row computes the same bits in a
+///    full block as in the remainder.
 ///
 /// Multi-threading follows the paper's runtime design: the batch is split
 /// into chunks (chunk size = the user's batch-size hint) and chunks are
@@ -94,9 +96,11 @@ public:
                      runtime::ExecutionStats *Stats = nullptr) const override;
 
   /// Weight-table support for parameterized (merged-model) programs:
-  /// each registered table is bound into a private copy of the program
-  /// once, so executeIndexed runs at the same per-sample cost as
-  /// execute().
+  /// registering a table binds only the program's side tables (one
+  /// SideTables slab per task); the code stays shared. executeIndexed
+  /// runs the whole batch through the lane engine, rows in any table
+  /// order: a block whose rows share a table reads that table's slab,
+  /// any other block gathers each lane's parameters from its own slab.
   bool supportsParamTables() const override {
     return Program.Parameterized;
   }
@@ -106,22 +110,31 @@ public:
                       runtime::ExecutionStats *Stats = nullptr) const override;
 
 private:
-  void executeChunk(const KernelProgram &TheProgram, const double *Input,
-                    double *Output, size_t TotalSamples, size_t Begin,
-                    size_t End) const;
+  /// Runs [0, NumSamples) in chunks, on the pool when there is one. With
+  /// \p TableIndices row I reads the side tables (*Tables[TableIndices[I]]);
+  /// without, every row reads the program's own.
+  void executeChunks(const double *Input, double *Output, size_t NumSamples,
+                     const uint32_t *TableIndices,
+                     const std::vector<SideTables> *const *Tables) const;
+
+  /// One registered weight table: its raw canonical parameters (for
+  /// idempotent re-registration) and the program's side tables bound to
+  /// them, one slab per task.
+  struct BoundTable {
+    std::vector<double> Raw;
+    std::vector<SideTables> Tasks;
+  };
 
   KernelProgram Program;
   ExecutionConfig Config;
   std::unique_ptr<ThreadPool> Pool;
 
-  /// Registered weight tables (raw canonical parameters, for idempotent
-  /// re-registration) and the per-table bound program copies. Guarded by
-  /// TablesMutex; the unique_ptr pointees are stable across vector
-  /// growth, so executeIndexed snapshots plain pointers under a shared
-  /// lock and runs lock-free afterwards.
+  /// Registered weight tables, guarded by TablesMutex. The unique_ptr
+  /// pointees are stable across vector growth, so executeIndexed
+  /// snapshots plain pointers under a shared lock and runs lock-free
+  /// afterwards.
   mutable std::shared_mutex TablesMutex;
-  std::vector<std::vector<double>> TableParams;
-  std::vector<std::unique_ptr<KernelProgram>> BoundPrograms;
+  std::vector<std::unique_ptr<BoundTable>> Bound;
 };
 
 //===----------------------------------------------------------------------===//
@@ -144,17 +157,21 @@ struct BufferBinding {
 };
 
 /// Executes \p Task for the single chunk-local sample \p SampleIdx using
-/// \p Registers (NumRegisters entries). Scalar reference engine; also the
-/// per-thread execution model of the GPU simulator.
+/// \p Registers (NumRegisters entries), reading constants and leaf
+/// parameters from \p Tables (the task itself, or a weight table's bound
+/// slab of it). Scalar reference engine; also the per-thread execution
+/// model of the GPU simulator.
 template <typename T>
-void executeSample(const TaskProgram &Task,
+void executeSample(const TaskProgram &Task, const SideTables &Tables,
                    const BufferBinding<T> *Buffers, size_t SampleIdx,
                    T *Registers);
 
 extern template void executeSample<float>(const TaskProgram &,
+                                          const SideTables &,
                                           const BufferBinding<float> *,
                                           size_t, float *);
 extern template void executeSample<double>(const TaskProgram &,
+                                           const SideTables &,
                                            const BufferBinding<double> *,
                                            size_t, double *);
 

@@ -34,43 +34,44 @@ double spnc::vm::transformParam(ParamTransform Transform, double Raw) {
   return Raw;
 }
 
-void spnc::vm::bindTaskParams(TaskProgram &Task,
-                              std::span<const double> Raw) {
-  for (const ParamSite &Site : Task.ParamSites) {
+namespace {
+
+/// Writes Transform(Raw[Param]) into the slot of every site.
+void writeSites(std::span<const ParamSite> Sites, SideTables &Tables,
+                std::span<const double> Raw) {
+  for (const ParamSite &Site : Sites) {
     assert(Site.Param < Raw.size() && "parameter index out of range");
     double Value = transformParam(Site.Transform, Raw[Site.Param]);
     switch (Site.Kind) {
     case ParamSlotKind::ConstPool:
-      Task.ConstPool[Site.Index] = Value;
+      Tables.ConstPool[Site.Index] = Value;
       break;
     case ParamSlotKind::GaussianMean:
-      Task.Gaussians[Site.Index].Mean = Value;
+      Tables.Gaussians[Site.Index].Mean = Value;
       break;
     case ParamSlotKind::GaussianInvStdDev:
-      Task.Gaussians[Site.Index].InvStdDev = Value;
+      Tables.Gaussians[Site.Index].InvStdDev = Value;
       break;
     case ParamSlotKind::GaussianCoefficient:
-      Task.Gaussians[Site.Index].Coefficient = Value;
+      Tables.Gaussians[Site.Index].Coefficient = Value;
       break;
     case ParamSlotKind::TableValue:
       for (uint32_t I = 0; I < Site.Count; ++I)
-        Task.Tables[Site.Index].Values[Site.Slot + I] = Value;
+        Tables.Tables[Site.Index].Values[Site.Slot + I] = Value;
       break;
     case ParamSlotKind::SelectValue:
-      Task.Selects[Site.Index].Value = Value;
+      Tables.Selects[Site.Index].Value = Value;
       break;
     }
   }
 }
 
-KernelProgram spnc::vm::bindParams(const KernelProgram &Program,
-                                   std::span<const double> Raw) {
-  assert(Program.Parameterized && "binding a non-parameterized program");
-  assert(Raw.size() == Program.NumParams &&
-         "weight table length must match the program's parameter count");
-  KernelProgram Bound = Program;
-  for (TaskProgram &Task : Bound.Tasks)
-    bindTaskParams(Task, Raw);
+} // namespace
+
+SideTables spnc::vm::bindTaskParams(const TaskProgram &Task,
+                                    std::span<const double> Raw) {
+  SideTables Bound = Task;
+  writeSites(Task.ParamSites, Bound, Raw);
   return Bound;
 }
 
@@ -96,10 +97,9 @@ bool spnc::vm::verifySelfBinding(const KernelProgram &Program,
     return Fail("parameter count mismatch: program has " +
                 std::to_string(Program.NumParams) + ", model extracts " +
                 std::to_string(Raw.size()));
-  KernelProgram Bound = bindParams(Program, Raw);
   for (size_t T = 0; T < Program.Tasks.size(); ++T) {
     const TaskProgram &A = Program.Tasks[T];
-    const TaskProgram &B = Bound.Tasks[T];
+    SideTables B = bindTaskParams(A, Raw);
     std::string Where = " (task " + std::to_string(T) + ")";
     for (size_t I = 0; I < A.ConstPool.size(); ++I)
       if (!sameBits(A.ConstPool[I], B.ConstPool[I]))
@@ -126,19 +126,19 @@ bool spnc::vm::verifySelfBinding(const KernelProgram &Program,
   return true;
 }
 
-std::vector<double> spnc::vm::flattenTaskTables(const TaskProgram &Task) {
+std::vector<double> spnc::vm::flattenTaskTables(const SideTables &Tables) {
   std::vector<double> Flat;
-  Flat.reserve(Task.ConstPool.size() + Task.Gaussians.size() * 3 +
-               Task.Selects.size());
-  Flat.insert(Flat.end(), Task.ConstPool.begin(), Task.ConstPool.end());
-  for (const GaussianParams &G : Task.Gaussians) {
+  Flat.reserve(Tables.ConstPool.size() + Tables.Gaussians.size() * 3 +
+               Tables.Selects.size());
+  Flat.insert(Flat.end(), Tables.ConstPool.begin(), Tables.ConstPool.end());
+  for (const GaussianParams &G : Tables.Gaussians) {
     Flat.push_back(G.Mean);
     Flat.push_back(G.InvStdDev);
     Flat.push_back(G.Coefficient);
   }
-  for (const LookupTable &Table : Task.Tables)
+  for (const LookupTable &Table : Tables.Tables)
     Flat.insert(Flat.end(), Table.Values.begin(), Table.Values.end());
-  for (const SelectRange &Select : Task.Selects)
+  for (const SelectRange &Select : Tables.Selects)
     Flat.push_back(Select.Value);
   return Flat;
 }

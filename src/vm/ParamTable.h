@@ -10,10 +10,10 @@
 /// `KernelProgram` carries `ParamSite` records describing which
 /// side-table slots hold tunable model parameters (sum weights, leaf
 /// distribution parameters) and how the raw parameter is transformed
-/// before it lands in the slot. Binding a weight table produces a copy
-/// of the program whose side tables are rewritten for another
-/// structurally-isomorphic model — the instruction stream, buffer plan
-/// and register assignment are shared untouched.
+/// before it lands in the slot. Binding a weight table rewrites the side
+/// tables (vm::SideTables) for another structurally-isomorphic model —
+/// the instruction stream, buffer plan and register assignment are
+/// shared untouched.
 ///
 /// The transforms reproduce the code generator's constant folding
 /// bit-for-bit (same formulas, same literals — see vm::kLogSqrt2Pi), so
@@ -38,16 +38,11 @@ namespace vm {
 /// Applies \p Transform to a raw model parameter, mirroring codegen.
 double transformParam(ParamTransform Transform, double Raw);
 
-/// Rewrites the side tables of \p Task in place according to its
-/// parameter sites. \p Raw is the canonical parameter vector
+/// Returns a copy of \p Task's side tables with every parameter site of
+/// the task rebound to \p Raw, the canonical parameter vector
 /// (merge::extractParams order) of the model to bind.
-void bindTaskParams(TaskProgram &Task, std::span<const double> Raw);
-
-/// Returns a copy of \p Program with every parameter site rebound to
-/// \p Raw. \p Program must be parameterized and Raw.size() must equal
-/// Program.NumParams (asserted).
-KernelProgram bindParams(const KernelProgram &Program,
-                         std::span<const double> Raw);
+SideTables bindTaskParams(const TaskProgram &Task,
+                          std::span<const double> Raw);
 
 /// True when rebinding \p Program with \p Raw (the raw parameters of the
 /// model it was generated from) reproduces its own baked side tables
@@ -63,7 +58,7 @@ bool verifySelfBinding(const KernelProgram &Program,
 /// Gaussian, then each lookup table's Values, then each select's Value.
 /// The C++ backend indexes its per-model parameter blocks with this
 /// exact layout (CppEmitter computes the matching offsets).
-std::vector<double> flattenTaskTables(const TaskProgram &Task);
+std::vector<double> flattenTaskTables(const SideTables &Tables);
 
 } // namespace vm
 } // namespace spnc

@@ -205,6 +205,9 @@ TEST_F(DialectTest, LoSPNReferenceSemantics) {
   EXPECT_DOUBLE_EQ(lospn::evalCategorical(Probs, 2.0), 0.7);
   EXPECT_DOUBLE_EQ(lospn::evalCategorical(Probs, -1.0), 0.0);
   EXPECT_DOUBLE_EQ(lospn::evalCategorical(Probs, 5.0), 0.0);
+  // Evidence floors into its bucket [k, k + 1), as in compiled kernels.
+  EXPECT_DOUBLE_EQ(lospn::evalCategorical(Probs, -0.5), 0.0);
+  EXPECT_DOUBLE_EQ(lospn::evalCategorical(Probs, 1.5), Probs[1]);
   // Gaussian pdf at the mean and consistency of log/linear variants.
   EXPECT_NEAR(lospn::evalGaussianPdf(0.0, 1.0, 0.0),
               0.3989422804014327, 1e-12);

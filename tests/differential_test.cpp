@@ -28,6 +28,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 using namespace spnc;
@@ -360,6 +362,146 @@ TEST(DifferentialTest, MpeGpuSimulatorNearOracle) {
             << ": assignment scores off-optimum";
       }
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Categorical evidence between categories. Category k owns the bucket
+// [k, k + 1): every compiled engine floors the evidence (dense tables on
+// the CPU, select ranges on the GPU) and so does the oracle. Evidence in
+// (-1, 0) lies below category 0 and scores -inf; fractional evidence
+// scores the category it floors to.
+//===----------------------------------------------------------------------===//
+
+/// A two-component mixture over two categorical features and a Gaussian.
+spn::Model categoricalModel() {
+  spn::Model M(3, "categorical");
+  auto *A = M.makeProduct({M.makeCategorical(0, {0.2, 0.3, 0.5}),
+                           M.makeGaussian(1, 0.0, 1.0),
+                           M.makeCategorical(2, {0.6, 0.4})});
+  auto *B = M.makeProduct({M.makeCategorical(0, {0.7, 0.2, 0.1}),
+                           M.makeGaussian(1, 1.0, 0.5),
+                           M.makeCategorical(2, {0.1, 0.9})});
+  M.setRoot(M.makeSum({A, B}, {0.4, 0.6}));
+  return M;
+}
+
+/// Every pairing of the listed categorical evidence values (NaN is
+/// marginalized), with the Gaussian feature fixed.
+std::vector<double> categoricalRows() {
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Cat0[] = {-0.5, -1e-9, -1.0, 0.0,   0.5, 1.0,
+                         1.5,  2.0,   2.999, 3.0, NaN};
+  const double Cat2[] = {-0.25, 0.0, 0.75, 1.0, 1.5, 2.0, NaN};
+  std::vector<double> Rows;
+  for (double X0 : Cat0)
+    for (double X2 : Cat2)
+      Rows.insert(Rows.end(), {X0, 0.3, X2});
+  return Rows;
+}
+
+/// Checks \p Engine against the interpreter on \p Rows: equal within
+/// the bound (relative \p RelBound plus \p AbsBound), or both -inf.
+/// Returns the number of mismatching rows.
+size_t countOracleMismatches(const ExecutionEngine &Engine,
+                             const spn::Model &Model,
+                             const std::vector<double> &Rows,
+                             double RelBound, double AbsBound) {
+  size_t N = Rows.size() / Model.getNumFeatures();
+  std::vector<double> Want(N), Got(N);
+  baselines::InterpreterEngine(Model).execute(Rows.data(), Want.data(), N);
+  Engine.execute(Rows.data(), Got.data(), N);
+  size_t Mismatches = 0;
+  for (size_t I = 0; I < N; ++I) {
+    bool Same = std::isinf(Want[I])
+                    ? Got[I] == Want[I]
+                    : std::abs(Got[I] - Want[I]) <=
+                          std::abs(Want[I]) * RelBound + AbsBound;
+    if (!Same)
+      ADD_FAILURE() << "row " << I << ": compiled " << Got[I]
+                    << ", oracle " << Want[I];
+    Mismatches += !Same;
+  }
+  return Mismatches;
+}
+
+spn::QueryConfig marginalQuery(spn::ComputeType Type) {
+  spn::QueryConfig Query;
+  Query.Kind = spn::QueryKind::Marginal;
+  Query.SupportMarginal = true;
+  Query.DataType = Type;
+  return Query;
+}
+
+TEST(DifferentialTest, CategoricalEvidenceBetweenCategoriesVm) {
+  spn::Model Model = categoricalModel();
+  std::vector<double> Rows = categoricalRows();
+  for (unsigned Width : {1u, 8u})
+    for (unsigned OptLevel : {0u, 2u}) {
+      CompilerOptions Options;
+      Options.Execution.VectorWidth = Width;
+      Options.OptLevel = OptLevel;
+      Expected<CompiledKernel> Kernel = compileModel(
+          Model, marginalQuery(spn::ComputeType::F64), Options);
+      ASSERT_TRUE(static_cast<bool>(Kernel)) << Kernel.getError().message();
+      EXPECT_EQ(countOracleMismatches(Kernel->getEngine(), Model, Rows, 0,
+                                      kTolerance),
+                0u)
+          << "w=" << Width << " -O" << OptLevel;
+    }
+}
+
+TEST(DifferentialTest, CategoricalEvidenceBetweenCategoriesCpp) {
+  backend::CppBackendOptions CppOptions;
+  CppOptions.ExtraFlags = {"-O0"};
+  backend::CppBackend Cpp(CppOptions);
+  std::string SkipReason;
+  if (!Cpp.isAvailable(&SkipReason))
+    GTEST_SKIP() << SkipReason;
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(CompilerOptions());
+  ASSERT_TRUE(static_cast<bool>(Pipeline));
+  spn::Model Model = categoricalModel();
+  Expected<backend::CompiledArtifact> Artifact = Cpp.compile(
+      *Pipeline, Model, marginalQuery(spn::ComputeType::F64));
+  ASSERT_TRUE(static_cast<bool>(Artifact))
+      << Artifact.getError().message();
+  EXPECT_EQ(countOracleMismatches(*Artifact->Engine, Model,
+                                  categoricalRows(), 0, kTolerance),
+            0u);
+}
+
+TEST(DifferentialTest, CategoricalEvidenceBetweenCategoriesGpu) {
+  CompilerOptions Options;
+  Options.TheTarget = Target::GPU;
+  spn::Model Model = categoricalModel();
+  Expected<CompiledKernel> Kernel =
+      compileModel(Model, marginalQuery(spn::ComputeType::F32), Options);
+  ASSERT_TRUE(static_cast<bool>(Kernel)) << Kernel.getError().message();
+  EXPECT_EQ(countOracleMismatches(Kernel->getEngine(), Model,
+                                  categoricalRows(), 1e-4, 1e-4),
+            0u);
+}
+
+/// Speaker identification scores every frame with every speaker's model,
+/// so a model sees discrete evidence its own speaker never produces.
+TEST(DifferentialTest, CategoricalEvidenceOfAnotherSpeaker) {
+  workloads::SpeakerModelOptions ModelOptions, FrameOptions;
+  ModelOptions.Seed = 1;
+  FrameOptions.Seed = 3;
+  spn::Model Model = workloads::generateSpeakerModel(ModelOptions);
+  std::vector<double> Frames =
+      workloads::generateNoisySpeechData(FrameOptions, 256, 3);
+  for (unsigned OptLevel : {0u, 2u}) {
+    CompilerOptions Options;
+    Options.OptLevel = OptLevel;
+    Expected<CompiledKernel> Kernel = compileModel(
+        Model, marginalQuery(spn::ComputeType::F64), Options);
+    ASSERT_TRUE(static_cast<bool>(Kernel)) << Kernel.getError().message();
+    EXPECT_EQ(countOracleMismatches(Kernel->getEngine(), Model, Frames, 0,
+                                    kTolerance),
+              0u)
+        << "-O" << OptLevel;
   }
 }
 

@@ -111,7 +111,7 @@ TEST_F(KernelCacheTest, SecondRequestIsAHit) {
   EXPECT_EQ(&First->getEngine(), &Second->getEngine());
   EXPECT_EQ(Cache.size(), 1u);
 
-  KernelCache::Statistics CacheStats = Cache.getStatistics();
+  KernelCache::Stats CacheStats = Cache.getStats();
   EXPECT_EQ(CacheStats.Hits, 1u);
   EXPECT_EQ(CacheStats.Misses, 1u);
   EXPECT_EQ(CacheStats.Recompiles, 1u);
@@ -168,7 +168,7 @@ TEST_F(KernelCacheTest, KeyIsSensitiveToPipelineAndQueryConfig) {
   ASSERT_TRUE(static_cast<bool>(
       Cache.getOrCompile(*Model, Marginal, Base)));
   EXPECT_EQ(Cache.size(), 3u);
-  EXPECT_EQ(Cache.getStatistics().Hits, 0u);
+  EXPECT_EQ(Cache.getStats().Hits, 0u);
 }
 
 TEST_F(KernelCacheTest, InvalidOptionsPropagateTheError) {
@@ -188,7 +188,7 @@ TEST_F(KernelCacheTest, DiskTierIsSharedAcrossInstances) {
     KernelCache Cache(TempDir.string());
     ASSERT_TRUE(static_cast<bool>(
         Cache.getOrCompile(*Model, spn::QueryConfig(), Options)));
-    EXPECT_EQ(Cache.getStatistics().Recompiles, 1u);
+    EXPECT_EQ(Cache.getStats().Recompiles, 1u);
     uint64_t Key = keyFor(*Model, spn::QueryConfig(), Options);
     EXPECT_TRUE(std::filesystem::exists(Cache.entryPath(Key)));
   }
@@ -200,7 +200,7 @@ TEST_F(KernelCacheTest, DiskTierIsSharedAcrossInstances) {
   Expected<CompiledKernel> Loaded =
       Fresh.getOrCompile(*Model, spn::QueryConfig(), Options, &Stats);
   ASSERT_TRUE(static_cast<bool>(Loaded));
-  KernelCache::Statistics CacheStats = Fresh.getStatistics();
+  KernelCache::Stats CacheStats = Fresh.getStats();
   EXPECT_EQ(CacheStats.DiskHits, 1u);
   EXPECT_EQ(CacheStats.Recompiles, 0u);
   EXPECT_EQ(Stats.TotalNs, 0u);
@@ -237,7 +237,7 @@ TEST_F(KernelCacheTest, CorruptedDiskEntryTriggersRecompile) {
   Expected<CompiledKernel> Kernel =
       Cache.getOrCompile(*Model, spn::QueryConfig(), Options);
   ASSERT_TRUE(static_cast<bool>(Kernel));
-  KernelCache::Statistics CacheStats = Cache.getStatistics();
+  KernelCache::Stats CacheStats = Cache.getStats();
   EXPECT_EQ(CacheStats.DiskHits, 0u);
   EXPECT_EQ(CacheStats.Recompiles, 1u);
 
@@ -245,7 +245,7 @@ TEST_F(KernelCacheTest, CorruptedDiskEntryTriggersRecompile) {
   KernelCache Fresh(TempDir.string());
   ASSERT_TRUE(static_cast<bool>(
       Fresh.getOrCompile(*Model, spn::QueryConfig(), Options)));
-  EXPECT_EQ(Fresh.getStatistics().DiskHits, 1u);
+  EXPECT_EQ(Fresh.getStats().DiskHits, 1u);
 }
 
 TEST_F(KernelCacheTest, UnwritableDirectoryStillServesKernels) {
@@ -264,7 +264,7 @@ TEST_F(KernelCacheTest, UnwritableDirectoryStillServesKernels) {
       Cache.getOrCompile(*Model, spn::QueryConfig(), CompilerOptions());
   ASSERT_TRUE(static_cast<bool>(Kernel));
   EXPECT_EQ(Cache.size(), 1u);
-  EXPECT_EQ(Cache.getStatistics().Recompiles, 1u);
+  EXPECT_EQ(Cache.getStats().Recompiles, 1u);
 }
 
 TEST_F(KernelCacheTest, ConcurrentRequestsShareOneEngine) {
@@ -297,7 +297,7 @@ TEST_F(KernelCacheTest, ConcurrentRequestsShareOneEngine) {
   EXPECT_EQ(Cache.size(), 1u);
   for (unsigned T = 1; T < kNumThreads; ++T)
     EXPECT_EQ(&Kernels[0].getEngine(), &Kernels[T].getEngine());
-  KernelCache::Statistics CacheStats = Cache.getStatistics();
+  KernelCache::Stats CacheStats = Cache.getStats();
   EXPECT_EQ(CacheStats.Hits + CacheStats.Misses, kNumThreads);
   EXPECT_GE(CacheStats.Recompiles, 1u);
 }
@@ -554,7 +554,7 @@ TEST_F(KernelCacheTest, ClearDropsEnginesButKeepsDisk) {
   // The next request misses in memory but recovers from disk.
   ASSERT_TRUE(static_cast<bool>(
       Cache.getOrCompile(*Model, spn::QueryConfig(), Options)));
-  KernelCache::Statistics CacheStats = Cache.getStatistics();
+  KernelCache::Stats CacheStats = Cache.getStats();
   EXPECT_EQ(CacheStats.DiskHits, 1u);
   EXPECT_EQ(CacheStats.Recompiles, 1u);
 }

@@ -94,8 +94,9 @@ TEST(MergeTest, WeightEditChangesContentHashNotStructuralHash) {
   EXPECT_EQ(KernelCache::structuralHash(Original),
             KernelCache::structuralHash(Edited));
   EXPECT_TRUE(merge::isStructurallyIsomorphic(Original, Edited));
-  // The legacy spelling stays the content hash.
-  EXPECT_EQ(KernelCache::hashModel(Original),
+  // The content hash is a function of the model alone: an identical
+  // rebuild hashes the same.
+  EXPECT_EQ(KernelCache::contentHash(ratClass(0)),
             KernelCache::contentHash(Original));
 }
 

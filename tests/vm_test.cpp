@@ -79,7 +79,7 @@ protected:
   std::vector<double> run(const TaskProgram &Task) {
     std::vector<double> Registers(Task.NumRegisters, 0.0);
     BufferBinding<double> NoBuffers[1] = {};
-    executeSample(Task, NoBuffers, 0, Registers.data());
+    executeSample(Task, Task, NoBuffers, 0, Registers.data());
     return Registers;
   }
 
@@ -274,7 +274,7 @@ TEST(BufferTest, RowMajorAndTransposedAddressing) {
 
   double Registers[1];
   for (size_t S = 0; S < 3; ++S)
-    executeSample(Task, Buffers, S, Registers);
+    executeSample(Task, Task, Buffers, S, Registers);
   EXPECT_DOUBLE_EQ(Output[0], 11);
   EXPECT_DOUBLE_EQ(Output[1], 21);
   EXPECT_DOUBLE_EQ(Output[2], 31);
@@ -322,7 +322,7 @@ TEST(BufferTest, MultiSlotTransposedOutput) {
   Buffers[1].Stride = 3;
   double Registers[2];
   for (size_t S = 0; S < 3; ++S)
-    executeSample(Task, Buffers, S, Registers);
+    executeSample(Task, Task, Buffers, S, Registers);
   // Slot 0 = the raw value, slot 1 = value + 100, each contiguous.
   EXPECT_DOUBLE_EQ(Output[0], 1);
   EXPECT_DOUBLE_EQ(Output[1], 2);

@@ -580,7 +580,7 @@ int main(int Argc, char **Argv) {
       PathConfig.Directory = Options.KernelCacheDir;
       KernelCache PathCache(PathConfig);
       RecordPath =
-          PathCache.tuningRecordPath(KernelCache::hashModel(*Model));
+          PathCache.tuningRecordPath(KernelCache::contentHash(*Model));
     }
     Expected<tuning::TuningRecord> Record =
         tuning::loadTuningRecord(RecordPath);
