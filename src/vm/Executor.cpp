@@ -303,331 +303,253 @@ template void spnc::vm::executeSample<double>(const TaskProgram &,
 
 namespace {
 
-/// Per-block input staging for the loads+shuffles configuration: the W
-/// row-major sample rows are transposed once into [feature][lane] form,
-/// after which every feature load is a contiguous vector load.
-template <typename T>
-struct BlockTranspose {
-  std::vector<T> Data; // Columns x W
-  uint32_t Columns = 0;
+template <typename V, typename T>
+SPNC_ALWAYS_INLINE V loadLanes(const T *Src) {
+  V X;
+  std::memcpy(&X, Src, sizeof(V));
+  return X;
+}
 
-  void prepare(const BufferBinding<T> &B, size_t Begin, unsigned W) {
-    Columns = B.Columns;
-    Data.resize(static_cast<size_t>(Columns) * W);
-    const double *Src =
-        B.ExternalIn + (B.Offset + Begin) * B.Columns;
-    // Feature-major fill: contiguous vectorizable writes per feature,
-    // strided reads — the interpreter-level equivalent of the
-    // loads+shuffles register transpose.
-    for (uint32_t C = 0; C < Columns; ++C) {
-      T *Dst = &Data[static_cast<size_t>(C) * W];
-      for (unsigned L = 0; L < W; ++L)
-        Dst[L] = static_cast<T>(Src[static_cast<size_t>(L) * Columns + C]);
-    }
+template <typename V, typename T>
+SPNC_ALWAYS_INLINE void storeLanes(T *Dst, V X) {
+  std::memcpy(Dst, &X, sizeof(V));
+}
+
+/// Per-block input staging for the loads+shuffles configuration: the W
+/// row-major sample rows are transposed once into one lane vector per
+/// feature, after which every feature load is a vector copy. Lanes past
+/// the block's last valid row repeat that row.
+template <typename T, unsigned W>
+struct BlockTranspose {
+  std::vector<Vec<T, W>> Data; // one vector per column
+
+  void prepare(const BufferBinding<T> &B, size_t Begin, unsigned Valid) {
+    Data.resize(B.Columns);
+    const double *Rows[W];
+    for (unsigned L = 0; L < W; ++L)
+      Rows[L] = B.ExternalIn +
+                (B.Offset + Begin + std::min(L, Valid - 1)) * B.Columns;
+    // Feature-major fill with strided reads: the interpreter-level
+    // equivalent of the loads+shuffles register transpose.
+    for (uint32_t C = 0; C < B.Columns; ++C)
+      Data[C] = makeLanes<Vec<T, W>>(
+          [&](unsigned L) { return static_cast<T>(Rows[L][C]); });
   }
 };
 
+/// Lane L's copy of a table parameter: \p Get(L) on the gather path,
+/// \p Get(0) broadcast otherwise.
+template <typename V, bool Gather, typename Fn>
+SPNC_ALWAYS_INLINE V laneParam(Fn &&Get) {
+  if constexpr (Gather)
+    return makeLanes<V>(Get);
+  else
+    return splat<V>(Get(0));
+}
+
 /// Runs \p Task over the W lanes of the block at chunk-local sample
-/// \p Begin. The parameter-reading ops (Const, Gaussian, GaussianLog,
-/// TableLookup, SelectInRange, NanBlend) take their side tables from
-/// \p Lanes: without \p Gather every lane reads Lanes[0], with it lane L
-/// reads Lanes[L]. Both paths run the same arithmetic per lane, so a row
-/// computes the same bits in either, and at any W. Structural fields
-/// (ranges, sizes, marginal support) are equal in every slab and are
-/// read from Lanes[0].
+/// \p Begin, one vector operation per instruction. Only the first
+/// \p Valid lanes are rows of the chunk: lanes past them read the last
+/// valid row of external buffers and are not stored to them. The
+/// parameter-reading ops (Const, Gaussian, GaussianLog, TableLookup,
+/// SelectInRange, NanBlend) take their side tables from \p Lanes:
+/// without \p Gather every lane reads Lanes[0], with it lane L reads
+/// Lanes[L]. Both paths run the same arithmetic per lane, so a row
+/// computes the same bits in either, at any W and in any lane.
+/// Structural fields (ranges, sizes, marginal support) are equal in
+/// every slab and are read from Lanes[0].
 template <typename T, unsigned W, bool Gather>
 void runBlock(const TaskProgram &Task, const SideTables *const *Lanes,
               const BufferBinding<T> *Buffers,
-              const BlockTranspose<T> *Transposes, size_t Begin,
-              bool UseVecLib, T *Regs) {
-  const T NegInf = -std::numeric_limits<T>::infinity();
+              const BlockTranspose<T, W> *Transposes, size_t Begin,
+              unsigned Valid, bool UseVecLib, Vec<T, W> *Regs) {
+  using V = Vec<T, W>;
+  const V NegInf = splat<V>(-std::numeric_limits<T>::infinity());
   const SideTables &Shared = *Lanes[0];
-  // Per-lane table bases, loaded once per block on the gather path.
+  // Per-lane table bases, loaded once per block (lane 0 only without
+  // Gather).
   const double *LaneConsts[W];
   const GaussianParams *LaneGaussians[W];
   const LookupTable *LaneTables[W];
   const SelectRange *LaneSelects[W];
-  if constexpr (Gather)
-    for (unsigned L = 0; L < W; ++L) {
-      LaneConsts[L] = Lanes[L]->ConstPool.data();
-      LaneGaussians[L] = Lanes[L]->Gaussians.data();
-      LaneTables[L] = Lanes[L]->Tables.data();
-      LaneSelects[L] = Lanes[L]->Selects.data();
-    }
-  T Tmp0[W], Tmp1[W];
+  for (unsigned L = 0; L < (Gather ? W : 1); ++L) {
+    LaneConsts[L] = Lanes[L]->ConstPool.data();
+    LaneGaussians[L] = Lanes[L]->Gaussians.data();
+    LaneTables[L] = Lanes[L]->Tables.data();
+    LaneSelects[L] = Lanes[L]->Selects.data();
+  }
+  auto Exp = [UseVecLib](V X) { return UseVecLib ? expNeg(X) : libmExp(X); };
+  auto Log = [UseVecLib](V X) { return UseVecLib ? logPos(X) : libmLog(X); };
+  auto Log1p = [UseVecLib](V X) {
+    return UseVecLib ? log1p01(X) : libmLog1p(X);
+  };
+  // Lanes where X is NaN (x != x) take Value, the others Else.
+  auto IfNan = [](V X, V Value, V Else) { return X != X ? Value : Else; };
+
+  // (A - Mean) * InvStdDev and the coefficient of Gaussian \p Idx. The
+  // two leaf forms stay separate expressions: a shared Norm * Norm would
+  // keep the compiler from fusing the log form's multiply-subtract.
+  auto Normalize = [&](V A, uint32_t Idx, V &Coeff) {
+    auto Param = [&](double GaussianParams::*Field) {
+      return laneParam<V, Gather>([&](unsigned L) {
+        return static_cast<T>(LaneGaussians[L][Idx].*Field);
+      });
+    };
+    Coeff = Param(&GaussianParams::Coefficient);
+    return (A - Param(&GaussianParams::Mean)) *
+           Param(&GaussianParams::InvStdDev);
+  };
+  // Gaussian \p Idx's value R, or its marginal value on NaN evidence X.
+  auto Marginal = [&](uint32_t Idx, V X, V R) {
+    const GaussianParams &P = Shared.Gaussians[Idx];
+    return P.SupportMarginal
+               ? IfNan(X, splat<V>(static_cast<T>(P.MarginalValue)), R)
+               : R;
+  };
+
   for (const Instruction &Inst : Task.Code) {
-    T *D = &Regs[static_cast<size_t>(Inst.Dst) * W];
+    V &D = Regs[Inst.Dst];
     switch (Inst.Op) {
-    case OpCode::Const: {
-      if constexpr (Gather) {
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = static_cast<T>(LaneConsts[L][Inst.A]);
-        break;
-      }
-      T Value = static_cast<T>(Shared.ConstPool[Inst.A]);
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = Value;
+    case OpCode::Const:
+      D = laneParam<V, Gather>(
+          [&](unsigned L) { return static_cast<T>(LaneConsts[L][Inst.A]); });
       break;
-    }
     case OpCode::Load: {
       const BufferAccess &Access = Task.Loads[Inst.A];
       const BufferBinding<T> &B = Buffers[Access.Buffer];
       if (B.Transposed && B.Scratch) {
-        // Contiguous vector load from a transposed intermediate.
-        const T *Src = B.Scratch + elementIndex(B, Access.Index, Begin);
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = Src[L];
-      } else if (B.Transposed) {
-        const double *Src =
-            (B.ExternalIn ? B.ExternalIn : B.ExternalOut) +
-            elementIndex(B, Access.Index, Begin);
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = static_cast<T>(Src[L]);
-      } else if (Transposes && Transposes[Access.Buffer].Columns) {
-        // Loads+shuffles: contiguous load from the per-block transpose.
-        const T *Src = &Transposes[Access.Buffer]
-                            .Data[static_cast<size_t>(Access.Index) * W];
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = Src[L];
+        // Transposed intermediates hold whole padded blocks.
+        D = loadLanes<V>(B.Scratch + elementIndex(B, Access.Index, Begin));
+      } else if (B.Transposed && Valid == W) {
+        const double *Src = (B.ExternalIn ? B.ExternalIn : B.ExternalOut) +
+                            elementIndex(B, Access.Index, Begin);
+        D = __builtin_convertvector(loadLanes<Vec<double, W>>(Src), V);
+      } else if (Transposes && !Transposes[Access.Buffer].Data.empty()) {
+        D = Transposes[Access.Buffer].Data[Access.Index];
       } else {
-        // Gather: one strided load per lane.
-        const BufferBinding<T> &Bb = B;
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = loadElement(Bb, Access.Index, Begin + L);
+        // Strided, or a partial block: one clamped load per lane.
+        D = makeLanes<V>([&](unsigned L) {
+          return loadElement(B, Access.Index, Begin + std::min(L, Valid - 1));
+        });
       }
       break;
     }
     case OpCode::Store: {
       const BufferAccess &Access = Task.Stores[Inst.A];
       const BufferBinding<T> &B = Buffers[Access.Buffer];
-      const T *Src = &Regs[static_cast<size_t>(Inst.Dst) * W];
-      if (B.Transposed && B.Scratch) {
-        T *Dst = B.Scratch + elementIndex(B, Access.Index, Begin);
-        for (unsigned L = 0; L < W; ++L)
-          Dst[L] = Src[L];
-      } else {
-        for (unsigned L = 0; L < W; ++L)
-          storeElement(B, Access.Index, Begin + L, Src[L]);
-      }
+      if (B.Transposed && B.Scratch)
+        storeLanes(B.Scratch + elementIndex(B, Access.Index, Begin), D);
+      else
+        for (unsigned L = 0; L < Valid; ++L)
+          storeElement(B, Access.Index, Begin + L, D[L]);
       break;
     }
-    case OpCode::Add: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T *B = &Regs[static_cast<size_t>(Inst.B) * W];
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = A[L] + B[L];
+    case OpCode::Add:
+      D = Regs[Inst.A] + Regs[Inst.B];
       break;
-    }
-    case OpCode::Mul: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T *B = &Regs[static_cast<size_t>(Inst.B) * W];
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = A[L] * B[L];
+    case OpCode::Mul:
+      D = Regs[Inst.A] * Regs[Inst.B];
       break;
-    }
-    case OpCode::FusedMulAdd: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T *B = &Regs[static_cast<size_t>(Inst.B) * W];
-      const T *C = &Regs[static_cast<size_t>(Inst.C) * W];
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = A[L] * B[L] + C[L];
+    case OpCode::FusedMulAdd:
+      D = Regs[Inst.A] * Regs[Inst.B] + Regs[Inst.C];
+      break;
+    case OpCode::Max: {
+      // Ties keep A (the earlier chain element): MPE argmax ties resolve
+      // to the lowest child index.
+      V A = Regs[Inst.A], B = Regs[Inst.B];
+      D = A >= B ? A : B;
       break;
     }
     case OpCode::LogSumExp: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T *B = &Regs[static_cast<size_t>(Inst.B) * W];
-      // Tmp0 = min - max (guarded against (-inf) - (-inf) = NaN),
-      // Tmp1 = exp(Tmp0) in [0, 1], D = max + log1p(Tmp1).
-      for (unsigned L = 0; L < W; ++L) {
-        T Max = A[L] > B[L] ? A[L] : B[L];
-        T Diff = (A[L] > B[L] ? B[L] : A[L]) - Max;
-        Tmp0[L] = std::isnan(Diff) ? NegInf : Diff;
-        D[L] = Max;
-      }
-      if (UseVecLib) {
-        vecExpNeg(Tmp0, Tmp1, W);
-        vecLog1p01(Tmp1, Tmp0, W);
-      } else {
-        scalarExp(Tmp0, Tmp1, W);
-        scalarLog1p(Tmp1, Tmp0, W);
-      }
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = D[L] == NegInf ? NegInf : D[L] + Tmp0[L];
-      break;
-    }
-    case OpCode::Gaussian: {
-      const GaussianParams &P = Shared.Gaussians[Inst.B];
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T Mean = static_cast<T>(P.Mean);
-      const T Inv = static_cast<T>(P.InvStdDev);
-      const T Coeff = static_cast<T>(P.Coefficient);
-      if constexpr (Gather) {
-        for (unsigned L = 0; L < W; ++L) {
-          const GaussianParams &G = LaneGaussians[L][Inst.B];
-          T Norm = (A[L] - static_cast<T>(G.Mean)) *
-                   static_cast<T>(G.InvStdDev);
-          Tmp0[L] = T(-0.5) * Norm * Norm;
-        }
-      } else {
-        for (unsigned L = 0; L < W; ++L) {
-          T Norm = (A[L] - Mean) * Inv;
-          Tmp0[L] = T(-0.5) * Norm * Norm;
-        }
-      }
-      if (UseVecLib)
-        vecExpNeg(Tmp0, Tmp1, W);
-      else
-        scalarExp(Tmp0, Tmp1, W);
-      if constexpr (Gather) {
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = static_cast<T>(LaneGaussians[L][Inst.B].Coefficient) *
-                 Tmp1[L];
-      } else {
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = Coeff * Tmp1[L];
-      }
-      if (P.SupportMarginal)
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = std::isnan(A[L]) ? static_cast<T>(P.MarginalValue) : D[L];
-      break;
-    }
-    case OpCode::GaussianLog: {
-      const GaussianParams &P = Shared.Gaussians[Inst.B];
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T Mean = static_cast<T>(P.Mean);
-      const T Inv = static_cast<T>(P.InvStdDev);
-      const T Coeff = static_cast<T>(P.Coefficient);
-      if constexpr (Gather) {
-        for (unsigned L = 0; L < W; ++L) {
-          const GaussianParams &G = LaneGaussians[L][Inst.B];
-          T Norm = (A[L] - static_cast<T>(G.Mean)) *
-                   static_cast<T>(G.InvStdDev);
-          D[L] = static_cast<T>(G.Coefficient) - T(0.5) * Norm * Norm;
-        }
-      } else {
-        for (unsigned L = 0; L < W; ++L) {
-          T Norm = (A[L] - Mean) * Inv;
-          D[L] = Coeff - T(0.5) * Norm * Norm;
-        }
-      }
-      if (P.SupportMarginal)
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = std::isnan(A[L]) ? static_cast<T>(P.MarginalValue) : D[L];
-      break;
-    }
-    case OpCode::TableLookup: {
-      const LookupTable &Table = Shared.Tables[Inst.B];
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const auto Size = static_cast<int64_t>(Table.Values.size());
-      for (unsigned L = 0; L < W; ++L) {
-        if (Table.SupportMarginal && std::isnan(A[L])) {
-          D[L] = static_cast<T>(Table.MarginalValue);
-          continue;
-        }
-        const double *Values = Gather
-                                   ? LaneTables[L][Inst.B].Values.data()
-                                   : Table.Values.data();
-        auto Idx = static_cast<int64_t>(
-            std::floor(static_cast<double>(A[L]) - Table.Lo));
-        D[L] = (Idx >= 0 && Idx < Size)
-                   ? static_cast<T>(Values[static_cast<size_t>(Idx)])
-                   : static_cast<T>(Table.DefaultValue);
-      }
-      break;
-    }
-    case OpCode::SelectInRange: {
-      const SelectRange &Range = Shared.Selects[Inst.B];
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T Lo = static_cast<T>(Range.Lo);
-      const T Hi = static_cast<T>(Range.Hi);
-      if constexpr (Gather) {
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = (A[L] >= Lo && A[L] < Hi)
-                     ? static_cast<T>(LaneSelects[L][Inst.B].Value)
-                     : D[L];
-        break;
-      }
-      const T V = static_cast<T>(Range.Value);
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = (A[L] >= Lo && A[L] < Hi) ? V : D[L];
-      break;
-    }
-    case OpCode::NanBlend: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      if constexpr (Gather) {
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = std::isnan(A[L])
-                     ? static_cast<T>(LaneConsts[L][Inst.B])
-                     : D[L];
-        break;
-      }
-      const T V = static_cast<T>(Shared.ConstPool[Inst.B]);
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = std::isnan(A[L]) ? V : D[L];
-      break;
-    }
-    case OpCode::AddN: {
-      const uint32_t *Args = &Task.Args[Inst.A];
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = T(0);
-      for (uint32_t N = 0; N < Inst.B; ++N) {
-        const T *A = &Regs[static_cast<size_t>(Args[N]) * W];
-        for (unsigned L = 0; L < W; ++L)
-          D[L] += A[L];
-      }
-      break;
-    }
-    case OpCode::MulN: {
-      const uint32_t *Args = &Task.Args[Inst.A];
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = T(1);
-      for (uint32_t N = 0; N < Inst.B; ++N) {
-        const T *A = &Regs[static_cast<size_t>(Args[N]) * W];
-        for (unsigned L = 0; L < W; ++L)
-          D[L] *= A[L];
-      }
-      break;
-    }
-    case OpCode::Max: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T *B = &Regs[static_cast<size_t>(Inst.B) * W];
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = A[L] >= B[L] ? A[L] : B[L];
+      // max + log1p(exp(min - max)), min - max guarded against
+      // (-inf) - (-inf) = NaN.
+      V A = Regs[Inst.A], B = Regs[Inst.B];
+      V Max = A > B ? A : B;
+      V Diff = (A > B ? B : A) - Max;
+      V Sum = Log1p(Exp(IfNan(Diff, NegInf, Diff)));
+      D = Max == NegInf ? NegInf : Max + Sum;
       break;
     }
     case OpCode::LogSumExpN: {
       const uint32_t *Args = &Task.Args[Inst.A];
-      // D accumulates the lane maxima, Tmp1 the exponential sums.
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = NegInf;
+      V Max = NegInf;
       for (uint32_t N = 0; N < Inst.B; ++N) {
-        const T *A = &Regs[static_cast<size_t>(Args[N]) * W];
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = A[L] > D[L] ? A[L] : D[L];
+        V A = Regs[Args[N]];
+        Max = A > Max ? A : Max;
       }
-      for (unsigned L = 0; L < W; ++L)
-        Tmp1[L] = T(0);
+      V Sum{};
       for (uint32_t N = 0; N < Inst.B; ++N) {
-        const T *A = &Regs[static_cast<size_t>(Args[N]) * W];
-        for (unsigned L = 0; L < W; ++L) {
-          T Diff = A[L] - D[L];
-          Tmp0[L] = std::isnan(Diff) ? NegInf : Diff;
-        }
-        if (UseVecLib)
-          vecExpNeg(Tmp0, Tmp0, W);
-        else
-          scalarExp(Tmp0, Tmp0, W);
-        for (unsigned L = 0; L < W; ++L)
-          Tmp1[L] += Tmp0[L];
+        V Diff = Regs[Args[N]] - Max;
+        Sum += Exp(IfNan(Diff, NegInf, Diff));
       }
-      if (UseVecLib)
-        vecLogPos(Tmp1, Tmp0, W);
-      else
-        scalarLog(Tmp1, Tmp0, W);
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = D[L] == NegInf ? NegInf : D[L] + Tmp0[L];
+      D = Max == NegInf ? NegInf : Max + Log(Sum);
       break;
     }
+    case OpCode::AddN: {
+      const uint32_t *Args = &Task.Args[Inst.A];
+      V Sum{};
+      for (uint32_t N = 0; N < Inst.B; ++N)
+        Sum += Regs[Args[N]];
+      D = Sum;
+      break;
+    }
+    case OpCode::MulN: {
+      const uint32_t *Args = &Task.Args[Inst.A];
+      V Product = splat<V>(T(1));
+      for (uint32_t N = 0; N < Inst.B; ++N)
+        Product *= Regs[Args[N]];
+      D = Product;
+      break;
+    }
+    case OpCode::Gaussian: {
+      V A = Regs[Inst.A], Coeff;
+      V Norm = Normalize(A, Inst.B, Coeff);
+      D = Marginal(Inst.B, A, Coeff * Exp(T(-0.5) * Norm * Norm));
+      break;
+    }
+    case OpCode::GaussianLog: {
+      V A = Regs[Inst.A], Coeff;
+      V Norm = Normalize(A, Inst.B, Coeff);
+      D = Marginal(Inst.B, A, Coeff - T(0.5) * Norm * Norm);
+      break;
+    }
+    case OpCode::TableLookup: {
+      const LookupTable &Table = Shared.Tables[Inst.B];
+      const auto Size = static_cast<int64_t>(Table.Values.size());
+      V A = Regs[Inst.A];
+      D = makeLanes<V>([&](unsigned L) {
+        if (Table.SupportMarginal && std::isnan(A[L]))
+          return static_cast<T>(Table.MarginalValue);
+        const double *Values =
+            LaneTables[Gather ? L : 0][Inst.B].Values.data();
+        auto Idx = static_cast<int64_t>(
+            std::floor(static_cast<double>(A[L]) - Table.Lo));
+        return (Idx >= 0 && Idx < Size)
+                   ? static_cast<T>(Values[static_cast<size_t>(Idx)])
+                   : static_cast<T>(Table.DefaultValue);
+      });
+      break;
+    }
+    case OpCode::SelectInRange: {
+      // NaN compares false, so marginalized evidence keeps the previously
+      // blended value.
+      const SelectRange &Range = Shared.Selects[Inst.B];
+      V A = Regs[Inst.A];
+      V Value = laneParam<V, Gather>([&](unsigned L) {
+        return static_cast<T>(LaneSelects[L][Inst.B].Value);
+      });
+      D = (A >= static_cast<T>(Range.Lo)) & (A < static_cast<T>(Range.Hi))
+              ? Value
+              : D;
+      break;
+    }
+    case OpCode::NanBlend:
+      D = IfNan(Regs[Inst.A],
+                laneParam<V, Gather>([&](unsigned L) {
+                  return static_cast<T>(LaneConsts[L][Inst.B]);
+                }),
+                D);
+      break;
     }
   }
 }
@@ -692,54 +614,47 @@ struct RowTables {
   }
 };
 
-/// Runs task \p TaskIdx over chunk-local samples [0, ChunkLen): full
-/// blocks of W lanes, then the remainder one row at a time through the
-/// same lane engine at width 1 (the scalar epilogue of paper §IV-B), so
-/// a row's result does not depend on where in the batch it runs.
-/// Without \p Indexed every row reads the task's own side tables. With
-/// it, a block whose rows share one table runs the broadcast path on
-/// that table's slab and any other block gathers per lane.
+/// Runs task \p TaskIdx over chunk-local samples [0, ChunkLen) in blocks
+/// of W lanes. A remainder runs as one padded block: its lanes past the
+/// last row repeat that row (and that row's table), and only its valid
+/// lanes are stored. Lanes never mix, so a row's bits do not depend on
+/// its position in the batch. Without \p Indexed every row reads the
+/// task's own side tables. With it, a block whose lanes share one table
+/// runs the broadcast path on that table's slab and any other block
+/// gathers per lane.
 template <typename T, unsigned W, bool Indexed>
 void runTask(const KernelProgram &Program, size_t TaskIdx,
              BufferBinding<T> *Bindings,
-             std::vector<BlockTranspose<T>> &Transposes,
+             std::vector<BlockTranspose<T, W>> &Transposes,
              const RowTables &Rows, size_t ChunkLen, bool UseVecLib,
-             T *Regs) {
+             Vec<T, W> *Regs) {
   const TaskProgram &Task = Program.Tasks[TaskIdx];
-  const BlockTranspose<T> *Staged =
+  const BlockTranspose<T, W> *Staged =
       Transposes.empty() ? nullptr : Transposes.data();
-  size_t NumBlocks = ChunkLen / W;
-  for (size_t Block = 0; Block < NumBlocks; ++Block) {
-    size_t BlockBegin = Block * W;
+  for (size_t Begin = 0; Begin < ChunkLen; Begin += W) {
+    auto Valid = static_cast<unsigned>(std::min<size_t>(W, ChunkLen - Begin));
     // Stage row-major inputs blockwise for the loads+shuffles path.
     for (size_t I = 0; I < Transposes.size(); ++I)
       if (!Program.Buffers[I].Transposed && Bindings[I].ExternalIn)
-        Transposes[I].prepare(Bindings[I], BlockBegin, W);
+        Transposes[I].prepare(Bindings[I], Begin, Valid);
     if constexpr (!Indexed) {
       const SideTables *Own = &Task;
-      runBlock<T, W, false>(Task, &Own, Bindings, Staged, BlockBegin,
+      runBlock<T, W, false>(Task, &Own, Bindings, Staged, Begin, Valid,
                             UseVecLib, Regs);
     } else {
       const SideTables *Lanes[W];
       bool Uniform = true;
       for (unsigned L = 0; L < W; ++L) {
-        Lanes[L] = Rows.get(BlockBegin + L, TaskIdx);
+        Lanes[L] = Rows.get(Begin + std::min(L, Valid - 1), TaskIdx);
         Uniform &= Lanes[L] == Lanes[0];
       }
       if (Uniform)
-        runBlock<T, W, false>(Task, Lanes, Bindings, Staged, BlockBegin,
+        runBlock<T, W, false>(Task, Lanes, Bindings, Staged, Begin, Valid,
                               UseVecLib, Regs);
       else
-        runBlock<T, W, true>(Task, Lanes, Bindings, Staged, BlockBegin,
+        runBlock<T, W, true>(Task, Lanes, Bindings, Staged, Begin, Valid,
                              UseVecLib, Regs);
     }
-  }
-  for (size_t I = NumBlocks * W; I < ChunkLen; ++I) {
-    const SideTables *Own = &Task;
-    if constexpr (Indexed)
-      Own = Rows.get(I, TaskIdx);
-    runBlock<T, 1, false>(Task, &Own, Bindings, nullptr, I, UseVecLib,
-                          Regs);
   }
 }
 
@@ -749,6 +664,9 @@ void runChunkTyped(const KernelProgram &Program,
                    double *Output, size_t TotalSamples, size_t Begin,
                    size_t End, RowTables Rows) {
   size_t ChunkLen = End - Begin;
+  unsigned W = std::max(Config.VectorWidth, 1u);
+  // Intermediates hold whole blocks, the padded one included.
+  size_t Padded = (ChunkLen + W - 1) / W * W;
 
   // Bind buffers; intermediates are chunk-private.
   std::vector<BufferBinding<T>> Bindings(Program.Buffers.size());
@@ -770,10 +688,9 @@ void runChunkTyped(const KernelProgram &Program,
       B.Offset = Begin;
       break;
     case BufferInfo::Kind::Intermediate:
-      Intermediates[I].resize(static_cast<size_t>(Info.Columns) *
-                              ChunkLen);
+      Intermediates[I].resize(static_cast<size_t>(Info.Columns) * Padded);
       B.Scratch = Intermediates[I].data();
-      B.Stride = ChunkLen;
+      B.Stride = Padded;
       B.Offset = 0;
       break;
     }
@@ -794,8 +711,7 @@ void runChunkTyped(const KernelProgram &Program,
 
   if constexpr (Indexed)
     Rows.Index += Begin;
-  unsigned W = Config.VectorWidth;
-  if (W <= 1) {
+  if (W == 1) {
     std::vector<T> Registers(MaxRegs);
     for (const KernelStep &Step : Program.Steps) {
       if (Step.Task < 0) {
@@ -813,12 +729,11 @@ void runChunkTyped(const KernelProgram &Program,
     return;
   }
 
-  std::vector<T> Registers(static_cast<size_t>(MaxRegs) * W);
-  std::vector<BlockTranspose<T>> Transposes(
-      Config.UseShuffle ? Program.Buffers.size() : 0);
-
   auto RunSteps = [&](auto WidthTag) {
     constexpr unsigned BW = decltype(WidthTag)::value;
+    std::vector<Vec<T, BW>> Registers(MaxRegs);
+    std::vector<BlockTranspose<T, BW>> Transposes(
+        Config.UseShuffle ? Program.Buffers.size() : 0);
     for (const KernelStep &Step : Program.Steps) {
       if (Step.Task < 0)
         RunCopy(Step);

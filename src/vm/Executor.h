@@ -10,12 +10,14 @@
 ///
 ///  * a scalar engine processing one sample at a time (the "No Vec."
 ///    configuration of Fig. 6);
-///  * a data-parallel vector engine processing W samples per step with a
-///    scalar epilogue for the remainder (paper §IV-B), configurable in
-///    width (W=8 f32 lanes ~ AVX2, W=16 ~ AVX-512), vector-library use
-///    and gather-vs-load+shuffle input loading. The epilogue runs the
-///    same lane engine at width 1, so a row computes the same bits in a
-///    full block as in the remainder.
+///  * a data-parallel vector engine processing W samples per step, one
+///    vector operation per bytecode instruction (paper §IV-B),
+///    configurable in width (W=8 f32 lanes ~ AVX2, W=16 ~ AVX-512),
+///    vector-library use and gather-vs-load+shuffle input loading. A
+///    remainder runs as one padded W-lane block instead of the paper's
+///    scalar epilogue: its lanes past the last row repeat that row and
+///    are not stored. Lanes never mix, so a row's bits do not depend on
+///    its position in the batch, nor on W.
 ///
 /// Multi-threading follows the paper's runtime design: the batch is split
 /// into chunks (chunk size = the user's batch-size hint) and chunks are

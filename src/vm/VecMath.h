@@ -11,8 +11,10 @@
 /// The entry points are specialized to the value ranges SPN inference
 /// produces — `exp` of non-positive arguments (log-space differences and
 /// Gaussian exponents) and `log1p` on [0, 1] — which makes them short,
-/// branch-free polynomial kernels the host compiler auto-vectorizes over
-/// whole lane arrays.
+/// branch-free polynomial kernels. Each is written once over lane
+/// vectors of any width (GCC/Clang vector extensions) and once as a
+/// scalar reference; every form gives the same bits per lane, so a row's
+/// result does not depend on the lane width it runs at.
 ///
 /// The scalar fall-back path (the "no vector library" configuration of
 /// Fig. 6) calls libm through opaque function pointers per lane,
@@ -21,10 +23,9 @@
 /// Accuracy: ~1e-5 relative for expNeg, ~1e-6 absolute for log1p01 —
 /// below the f32 round-off the compiled kernels accumulate anyway;
 /// correctness tests compare against libm with explicit tolerances.
-/// Double-precision lane arrays take dedicated overloads that keep full
-/// f64 accuracy via libm (mirroring the double variants of libmvec/SVML),
-/// so f64 queries stay comparable to the reference interpreter at 1e-9
-/// (the differential suite's bound).
+/// Double-precision lanes keep full f64 accuracy via libm (mirroring the
+/// double variants of libmvec/SVML), so f64 queries stay comparable to
+/// the reference interpreter at 1e-9 (the differential suite's bound).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,16 +38,16 @@
 #include <cstdint>
 #include <limits>
 #include <type_traits>
+#include <utility>
 
 namespace spnc {
 namespace vm {
 
 //===----------------------------------------------------------------------===//
-// Branch-free scalar kernels (inlined into lane loops)
+// Branch-free scalar kernels (the reference for the vector kernels)
 //===----------------------------------------------------------------------===//
 
-/// exp(x) for x <= 0, branch-free (straight-line so the lane loops
-/// auto-vectorize). Inputs below -87 underflow to 0 (they would in f32
+/// exp(x) for x <= 0, branch-free. Inputs below -87 underflow to 0 (they would in f32
 /// arithmetic anyway).
 inline float fastExpNeg(float X) {
   // Clamp into the representable range; the polynomial needs a bounded
@@ -94,7 +95,7 @@ inline float fastLogPos(float X) {
   float M = std::bit_cast<float>((Bits & 0x007fffff) | 0x3f800000);
   // M in [1, 2): the atanh argument F stays within [0, 1/3], where the
   // series below is accurate to ~3e-7 — no mantissa-range shift needed,
-  // keeping the kernel straight-line (auto-vectorizable).
+  // keeping the kernel straight-line.
   float F = (M - 1.0f) / (M + 1.0f);
   float F2 = F * F;
   float Series =
@@ -106,168 +107,163 @@ inline float fastLogPos(float X) {
 }
 
 //===----------------------------------------------------------------------===//
-// Hand-vectorized 8-lane kernels (GCC/Clang vector extensions)
+// Lane vectors (GCC/Clang vector extensions)
 //===----------------------------------------------------------------------===//
 
-#if defined(__GNUC__) || defined(__clang__)
-#define SPNC_HAVE_VECTOR_EXTENSIONS 1
+/// W lanes of T as one vector value; the lane engine keeps every register
+/// in one. Widths past the target's SIMD registers are split by the
+/// compiler.
+template <typename T, unsigned W> struct LaneVector {
+  typedef T type __attribute__((vector_size(W * sizeof(T))));
+};
+template <typename T, unsigned W>
+using Vec = typename LaneVector<T, W>::type;
 
-using V8f = float __attribute__((vector_size(32)));
-using V8i = int32_t __attribute__((vector_size(32)));
+/// Element type and lane count of a lane vector.
+template <typename V> using LaneType = std::remove_cvref_t<decltype(V{}[0])>;
+template <typename V>
+inline constexpr unsigned NumLanes = sizeof(V) / sizeof(LaneType<V>);
 
-/// exp(x) for 8 non-positive lanes at once.
-inline V8f expNeg8(V8f X) {
-  X = X < -87.0f ? V8f{} - 87.0f : X;
-  X = X > 0.0f ? V8f{} : X;
-  V8f T = X * 1.44269504088896341f;
-  // floor for T <= 0: truncate, subtract 1 where truncation rounded up.
-  V8i Ti = __builtin_convertvector(T, V8i);
-  V8f Tr = __builtin_convertvector(Ti, V8f);
-  V8f Fl = Tr > T ? Tr - 1.0f : Tr;
-  V8f F = T - Fl;
-  V8f P = 1.0f +
-          F * (0.693147180559945f +
-               F * (0.240226506959101f +
-                    F * (0.0555041086648216f +
-                         F * (0.00961812910762848f +
-                              F * (0.00133335581464284f +
-                                   F * 0.000154353139101124f)))));
-  V8i E = __builtin_convertvector(Fl, V8i);
-  V8f Scale = std::bit_cast<V8f>((E + 127) << 23);
+/// The lane vector {F(0), ..., F(W-1)}.
+template <typename V, typename Fn, unsigned... L>
+inline V makeLanes(Fn &&F, std::integer_sequence<unsigned, L...>) {
+  return V{F(L)...};
+}
+template <typename V, typename Fn> inline V makeLanes(Fn &&F) {
+  return makeLanes<V>(F, std::make_integer_sequence<unsigned, NumLanes<V>>{});
+}
+
+/// Every lane set to \p X (exact, -0.0 included).
+template <typename V> inline V splat(LaneType<V> X) {
+  return makeLanes<V>([X](unsigned) { return X; });
+}
+
+template <typename V> using LaneInts = Vec<int32_t, NumLanes<V>>;
+
+//===----------------------------------------------------------------------===//
+// Vector kernels: any lane count, the scalar kernels' bits in every lane
+//===----------------------------------------------------------------------===//
+
+/// fastExpNeg per lane. The floor is a truncation plus a correction,
+/// equal to std::floor on the clamped (non-positive) range.
+template <typename V> inline V expNegF(V X) {
+  using VI = LaneInts<V>;
+  X = X < -87.0f ? splat<V>(-87.0f) : X;
+  X = X > 0.0f ? V{} : X;
+  V T = X * 1.44269504088896341f;
+  V Tr = __builtin_convertvector(__builtin_convertvector(T, VI), V);
+  V Fl = Tr > T ? Tr - 1.0f : Tr;
+  V F = T - Fl;
+  V P = 1.0f +
+        F * (0.693147180559945f +
+             F * (0.240226506959101f +
+                  F * (0.0555041086648216f +
+                       F * (0.00961812910762848f +
+                            F * (0.00133335581464284f +
+                                 F * 0.000154353139101124f)))));
+  VI E = __builtin_convertvector(Fl, VI);
+  V Scale = std::bit_cast<V>((E + 127) << 23);
   return P * Scale;
 }
 
-/// log(x) for 8 strictly positive lanes at once.
-inline V8f logPos8(V8f X) {
-  V8i Bits = std::bit_cast<V8i>(X);
-  V8i E = ((Bits >> 23) & 0xff) - 127;
-  V8f M = std::bit_cast<V8f>((Bits & 0x007fffff) | 0x3f800000);
-  V8f F = (M - 1.0f) / (M + 1.0f);
-  V8f F2 = F * F;
-  V8f Series =
+/// fastLogPos per lane.
+template <typename V> inline V logPosF(V X) {
+  using VI = LaneInts<V>;
+  VI Bits = std::bit_cast<VI>(X);
+  VI E = ((Bits >> 23) & 0xff) - 127;
+  V M = std::bit_cast<V>((Bits & 0x007fffff) | 0x3f800000);
+  V F = (M - 1.0f) / (M + 1.0f);
+  V F2 = F * F;
+  V Series =
       1.0f +
       F2 * (0.333333333f +
             F2 * (0.2f + F2 * (0.142857143f +
                                F2 * (0.111111111f + F2 * 0.0909090909f))));
   return 2.0f * F * Series +
-         0.693147180559945f * __builtin_convertvector(E, V8f);
+         0.693147180559945f * __builtin_convertvector(E, V);
 }
 
-/// log(1 + x) for 8 lanes in [0, 1].
-inline V8f log1p018(V8f X) {
-  V8f Z = X / (2.0f + X);
-  V8f Z2 = Z * Z;
-  V8f Series =
+/// fastLog1p01 per lane.
+template <typename V> inline V log1p01F(V X) {
+  V Z = X / (2.0f + X);
+  V Z2 = Z * Z;
+  V Series =
       1.0f + Z2 * (0.333333333333333f +
                    Z2 * (0.2f + Z2 * (0.142857142857143f +
                                       Z2 * 0.111111111111111f)));
   return 2.0f * Z * Series;
 }
-#endif // vector extensions
+
+/// Applies \p F to every lane of \p X.
+template <typename V, typename Fn> inline V perLane(V X, Fn &&F) {
+  return makeLanes<V>([&](unsigned L) { return F(X[L]); });
+}
 
 //===----------------------------------------------------------------------===//
-// Lane-array entry points (the "vector library")
+// The vector library: exp/log on lane vectors
+//===----------------------------------------------------------------------===//
+//
+// f32 lanes run the polynomial kernels above. f64 lanes keep full f64
+// accuracy through libm per lane: the polynomials are tuned to f32
+// round-off, and funnelling f64 lanes through them would truncate a
+// double-precision query to ~1e-5 -- the real vector libraries this
+// header stands in for (libmvec/SVML) ship dedicated double variants
+// accurate to ~1 ulp, which plain libm per lane reproduces.
+
+/// exp of non-positive lanes.
+template <typename V> inline V expNeg(V X) {
+  if constexpr (std::is_same_v<LaneType<V>, float>)
+    return expNegF(X);
+  else
+    return perLane(X, [](double D) { return std::exp(D > 0.0 ? 0.0 : D); });
+}
+
+/// log(1 + x) of lanes in [0, 1].
+template <typename V> inline V log1p01(V X) {
+  if constexpr (std::is_same_v<LaneType<V>, float>)
+    return log1p01F(X);
+  else
+    return perLane(X, [](double D) { return std::log1p(D); });
+}
+
+/// log of strictly positive lanes.
+template <typename V> inline V logPos(V X) {
+  if constexpr (std::is_same_v<LaneType<V>, float>)
+    return logPosF(X);
+  else
+    return perLane(X, [](double D) { return std::log(D); });
+}
+
+//===----------------------------------------------------------------------===//
+// Lane-array entry points
 //===----------------------------------------------------------------------===//
 
 namespace detail {
 
-/// Applies the 8-lane kernel over full chunks and the scalar kernel over
-/// the remainder; falls back to the scalar kernel entirely without
-/// vector extensions.
-template <typename T, typename Vec8Fn, typename ScalarFn>
-inline void mapLanes(const T *Input, T *Output, size_t Lanes,
-                     Vec8Fn &&Vec8, ScalarFn &&Scalar) {
-#if defined(SPNC_HAVE_VECTOR_EXTENSIONS)
-  size_t I = 0;
-  if constexpr (std::is_same_v<T, float>) {
-    for (; I + 8 <= Lanes; I += 8) {
-      V8f X;
-      __builtin_memcpy(&X, Input + I, sizeof(X));
-      V8f Y = Vec8(X);
-      __builtin_memcpy(Output + I, &Y, sizeof(Y));
-    }
-  } else {
-    for (; I + 8 <= Lanes; I += 8) {
-      V8f X = {static_cast<float>(Input[I]),     static_cast<float>(Input[I + 1]),
-               static_cast<float>(Input[I + 2]), static_cast<float>(Input[I + 3]),
-               static_cast<float>(Input[I + 4]), static_cast<float>(Input[I + 5]),
-               static_cast<float>(Input[I + 6]), static_cast<float>(Input[I + 7])};
-      V8f Y = Vec8(X);
-      for (int L = 0; L < 8; ++L)
-        Output[I + L] = static_cast<T>(Y[L]);
-    }
+/// Applies the 8-lane form of \p Fn over \p Lanes values; a partial
+/// last group is padded with zeros.
+template <typename T, typename Fn>
+inline void mapLanes(const T *Input, T *Output, size_t Lanes, Fn &&F) {
+  using V = Vec<T, 8>;
+  for (size_t I = 0; I < Lanes; I += 8) {
+    size_t N = Lanes - I < 8 ? Lanes - I : 8;
+    V X{};
+    __builtin_memcpy(&X, Input + I, N * sizeof(T));
+    V Y = F(X);
+    __builtin_memcpy(Output + I, &Y, N * sizeof(T));
   }
-  for (; I < Lanes; ++I)
-    Output[I] = static_cast<T>(Scalar(static_cast<float>(Input[I])));
-#else
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] = static_cast<T>(Scalar(static_cast<float>(Input[I])));
-#endif
 }
 
 } // namespace detail
 
-/// exp over a lane array of non-positive values.
-///
-/// The double overloads below keep full f64 accuracy: the polynomial
-/// kernels above are tuned to f32 round-off, and funnelling f64 lanes
-/// through them would truncate a double-precision query to ~1e-5 —
-/// the real vector libraries this header stands in for (libmvec/SVML)
-/// ship dedicated double variants accurate to ~1 ulp, which plain libm
-/// over the lane loop reproduces.
 template <typename T>
 inline void vecExpNeg(const T *Input, T *Output, size_t Lanes) {
-#if defined(SPNC_HAVE_VECTOR_EXTENSIONS)
-  detail::mapLanes(Input, Output, Lanes,
-                   [](V8f X) { return expNeg8(X); },
-                   [](float X) { return fastExpNeg(X); });
-#else
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] = static_cast<T>(fastExpNeg(static_cast<float>(Input[I])));
-#endif
+  detail::mapLanes(Input, Output, Lanes, [](auto X) { return expNeg(X); });
 }
 
-inline void vecExpNeg(const double *Input, double *Output, size_t Lanes) {
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] = std::exp(Input[I] > 0.0 ? 0.0 : Input[I]);
-}
-
-/// log(1 + x) over a lane array of values in [0, 1].
-template <typename T>
-inline void vecLog1p01(const T *Input, T *Output, size_t Lanes) {
-#if defined(SPNC_HAVE_VECTOR_EXTENSIONS)
-  detail::mapLanes(Input, Output, Lanes,
-                   [](V8f X) { return log1p018(X); },
-                   [](float X) { return fastLog1p01(X); });
-#else
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] =
-        static_cast<T>(fastLog1p01(static_cast<float>(Input[I])));
-#endif
-}
-
-inline void vecLog1p01(const double *Input, double *Output,
-                       size_t Lanes) {
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] = std::log1p(Input[I]);
-}
-
-/// log over a lane array of strictly positive values.
 template <typename T>
 inline void vecLogPos(const T *Input, T *Output, size_t Lanes) {
-#if defined(SPNC_HAVE_VECTOR_EXTENSIONS)
-  detail::mapLanes(Input, Output, Lanes,
-                   [](V8f X) { return logPos8(X); },
-                   [](float X) { return fastLogPos(X); });
-#else
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] = static_cast<T>(fastLogPos(static_cast<float>(Input[I])));
-#endif
-}
-
-inline void vecLogPos(const double *Input, double *Output, size_t Lanes) {
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] = std::log(Input[I]);
+  detail::mapLanes(Input, Output, Lanes, [](auto X) { return logPos(X); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -285,32 +281,31 @@ extern double (*const volatile ScalarExpD)(double);
 extern double (*const volatile ScalarLog1pD)(double);
 extern double (*const volatile ScalarLogD)(double);
 
-inline void scalarExp(const float *Input, float *Output, size_t Lanes) {
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] = ScalarExpF(Input[I]);
-}
-inline void scalarExp(const double *Input, double *Output, size_t Lanes) {
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] = ScalarExpD(Input[I]);
-}
-
-inline void scalarLog1p(const float *Input, float *Output, size_t Lanes) {
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] = ScalarLog1pF(Input[I]);
-}
-inline void scalarLog1p(const double *Input, double *Output,
-                        size_t Lanes) {
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] = ScalarLog1pD(Input[I]);
+/// libm per lane through the opaque pointers above.
+template <typename V> inline V libmExp(V X) {
+  if constexpr (std::is_same_v<LaneType<V>, float>)
+    return perLane(X, [](float F) { return ScalarExpF(F); });
+  else
+    return perLane(X, [](double D) { return ScalarExpD(D); });
 }
 
-inline void scalarLog(const float *Input, float *Output, size_t Lanes) {
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] = ScalarLogF(Input[I]);
+template <typename V> inline V libmLog1p(V X) {
+  if constexpr (std::is_same_v<LaneType<V>, float>)
+    return perLane(X, [](float F) { return ScalarLog1pF(F); });
+  else
+    return perLane(X, [](double D) { return ScalarLog1pD(D); });
 }
-inline void scalarLog(const double *Input, double *Output, size_t Lanes) {
-  for (size_t I = 0; I < Lanes; ++I)
-    Output[I] = ScalarLogD(Input[I]);
+
+template <typename V> inline V libmLog(V X) {
+  if constexpr (std::is_same_v<LaneType<V>, float>)
+    return perLane(X, [](float F) { return ScalarLogF(F); });
+  else
+    return perLane(X, [](double D) { return ScalarLogD(D); });
+}
+
+template <typename T>
+inline void scalarExp(const T *Input, T *Output, size_t Lanes) {
+  detail::mapLanes(Input, Output, Lanes, [](auto X) { return libmExp(X); });
 }
 
 } // namespace vm

@@ -16,7 +16,7 @@
 ///    pool;
 ///  * position invariance: a row computes the same bits in a full
 ///    block, in a block that gathers from several tables and in the
-///    width-1 epilogue;
+///    padded tail block;
 ///  * registering weight tables while another thread executes indexed
 ///    batches on the same engine.
 ///
@@ -244,7 +244,7 @@ TEST(IndexedExecTest, GatherMatchesOraclesOnThreadPool) {
       Options.Execution.VectorWidth = 8;
       Options.Execution.NumThreads = 3;
       // Chunks that are not a multiple of the width: every chunk ends
-      // in an epilogue, and a table run spans chunk boundaries.
+      // in a padded tail block, and a table run spans chunk boundaries.
       Options.Execution.ChunkSize = 13;
       expectIndexedMatchesOracles(G, Options, F32, "threads=3");
     }
@@ -257,7 +257,7 @@ uint32_t bits(double X) {
 
 /// A row computes the same bits wherever it runs: in a full block on one
 /// table, in a block gathering from several tables, or alone in the
-/// width-1 epilogue. f32 is where a different exp/log would show.
+/// padded tail block. f32 is where a different exp/log would show.
 TEST(IndexedExecTest, RowBitsIndependentOfBlockPosition) {
   Group G = ratGroup();
   constexpr size_t kRows = 37; // two 16-wide blocks and a 5-row tail
@@ -289,12 +289,12 @@ TEST(IndexedExecTest, RowBitsIndependentOfBlockPosition) {
       size_t Model = (I * 3 + I / 5) % G.Models.size();
       EXPECT_EQ(bits(Mixed[I]), bits(Uniform[Model][I]))
           << Leg << " row " << I << ": mixed block vs uniform block";
-      // Alone, the row runs in the epilogue.
+      // Alone, the row runs in a padded tail block.
       double Alone = 0.0;
       ASSERT_TRUE(M.Kernel.executeIndexed(
           G.Rows.data() + I * G.NumFeatures, &M.Tables[Model], &Alone, 1));
       EXPECT_EQ(bits(Alone), bits(Uniform[Model][I]))
-          << Leg << " row " << I << ": epilogue vs block";
+          << Leg << " row " << I << ": tail vs block";
     }
 
     // The non-parameterized execute() path keeps the same invariant.
@@ -307,7 +307,7 @@ TEST(IndexedExecTest, RowBitsIndependentOfBlockPosition) {
       double Alone = 0.0;
       Plain->execute(G.Rows.data() + I * G.NumFeatures, &Alone, 1);
       EXPECT_EQ(bits(Alone), bits(Batch[I]))
-          << Leg << " execute() row " << I << ": epilogue vs block";
+          << Leg << " execute() row " << I << ": tail vs block";
     }
   }
 }

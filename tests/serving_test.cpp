@@ -349,6 +349,13 @@ TEST_F(ServingTest, PriorityNamesRoundTrip) {
   EXPECT_EQ(Parsed, Priority::Bulk); // untouched on failure
 }
 
+/// The name model \p M is served under: "m0", "m1", ...
+std::string modelName(size_t M) {
+  std::string Name = "m";
+  Name += std::to_string(M);
+  return Name;
+}
+
 TEST_F(ServingTest, ShardedServerIsExactAndAggregatesAcrossShards) {
   // Several distinct models spread over 4 shards; results must match
   // direct execution regardless of where placement put each model, and
@@ -380,13 +387,11 @@ TEST_F(ServingTest, ShardedServerIsExactAndAggregatesAcrossShards) {
   InferenceServer Server(Config, &Cache);
   ASSERT_EQ(Server.getNumShards(), 4u);
   for (size_t M = 0; M < kModels; ++M)
-    ASSERT_FALSE(Server.addModel("m" + std::to_string(M), Models[M],
-                                 Query, Compile));
+    ASSERT_FALSE(Server.addModel(modelName(M), Models[M], Query, Compile));
 
   // Placement is the documented consistent hash, observable per model.
   for (size_t M = 0; M < kModels; ++M) {
-    std::optional<size_t> Placed =
-        Server.getModelShard("m" + std::to_string(M));
+    std::optional<size_t> Placed = Server.getModelShard(modelName(M));
     ASSERT_TRUE(Placed.has_value());
     EXPECT_EQ(*Placed,
               InferenceServer::placeOnShard(
@@ -400,8 +405,8 @@ TEST_F(ServingTest, ShardedServerIsExactAndAggregatesAcrossShards) {
     for (size_t M = 0; M < kModels; ++M) {
       unsigned Features = Models[M].getNumFeatures();
       Futures[M].push_back(Server.submit(
-          "m" + std::to_string(M),
-          ModelData[M].data() + (R % kNumSamples) * Features, 1));
+          modelName(M), ModelData[M].data() + (R % kNumSamples) * Features,
+          1));
     }
   for (size_t M = 0; M < kModels; ++M)
     for (size_t R = 0; R < kRequests; ++R) {
